@@ -9,11 +9,15 @@
 //! Programmers hand-parallelise their application into **user-threads** whose
 //! critical sections are **user-transactions** (ordinary STM transactions).
 //! TLSTM then decomposes each user-thread further into **speculative tasks**
-//! that run out of order on a small pool of worker threads (at most
-//! `SPECDEPTH` simultaneously active tasks per user-thread) and *commit in
-//! program order*. A user-transaction is a consecutive sequence of one or more
-//! tasks; its last task (the *commit-task*) commits the whole transaction on
-//! behalf of all of them.
+//! that run out of order (at most `SPECDEPTH` simultaneously active tasks per
+//! user-thread) and *commit in program order*. A user-transaction is a
+//! consecutive sequence of one or more tasks; its last task (the
+//! *commit-task*) commits the whole transaction on behalf of all of them.
+//!
+//! Tasks run on `SPECDEPTH` lanes. The thread that drives the user-thread
+//! runs one lane itself, inline, and `SPECDEPTH − 1` worker threads run the
+//! others, so a single-task transaction — and every transaction at
+//! `SPECDEPTH` = 1 — runs on the calling thread without a hand-off.
 //!
 //! The runtime guarantees:
 //!

@@ -1,19 +1,22 @@
 //! The TLSTM runtime and the user-thread handle.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use parking_lot::Mutex;
 
 use swisstm::cm::GreedyTicket;
 use txmem::{Abort, DirectMem, StatsSnapshot, ThreadIdAllocator, TxConfig, TxHeap, TxSubstrate};
 
 use crate::cm::TaskAwareCm;
-use crate::task::TaskCtx;
+use crate::task::{TaskBufs, TaskCtx};
 use crate::txn_state::TxnShared;
 use crate::uthread_state::UThreadShared;
-use crate::worker::{WorkItem, Worker};
+use crate::worker::{TaskRunner, WorkItem, Worker};
 use crate::TaskFn;
 
 /// Wraps a closure into a [`TaskFn`] (convenience for building [`TxnSpec`]s).
@@ -86,8 +89,12 @@ const STORM_STREAK_THRESHOLD: u32 = 3;
 
 /// Batches executed sequentially (tasks merged) before speculation is
 /// re-probed. Amortises the cost of the occasional stormy re-probe without
-/// permanently giving up on speculative execution.
-const STORM_COOLDOWN_BATCHES: u32 = 64;
+/// permanently giving up on speculative execution. A re-probe that storms
+/// costs far more than a merged batch: on one pinned core with 64
+/// user-threads, a stormy batch took 10–90 ms against about 3 ms for a merged
+/// one, and user-threads that tripped together re-probe together. With a
+/// first window of 64 batches those re-probes ate most of a one-second run.
+const STORM_COOLDOWN_BATCHES: u32 = 512;
 
 /// Upper bound on the geometrically-escalating cooldown window (see
 /// [`UThread::arm_storm_cooldown`]). A workload that storms on every
@@ -100,8 +107,9 @@ const STORM_BATCH_ROLLBACKS: u32 = 2;
 
 /// Contention-manager self-aborts of a single in-flight transaction that
 /// trip the detector mid-batch. A livelocked `c64`-style batch racks these
-/// up at tens per millisecond, so this threshold fires within a few tens of
-/// milliseconds while healthy batches stay far below it.
+/// up at several per millisecond, so this threshold fires within a few
+/// hundred milliseconds even on a saturated core, while healthy batches stay
+/// far below it.
 const STORM_CM_RETRIES: u32 = 512;
 
 /// After a batch has been in flight this long, lower-grade churn (any
@@ -122,6 +130,96 @@ fn batch_storming(pending: &[Arc<TxnShared>], elapsed: std::time::Duration) -> b
                 || (patient
                     && (txn.rollbacks() > 0 || txn.cm_retries() >= STORM_PATIENCE_CM_RETRIES)))
     })
+}
+
+/// The abort-storm detector's view of the in-flight batch, shared by a
+/// user-thread and its worker threads. Every lane samples it after an aborted
+/// attempt, so the lane that is churning trips it: on a saturated single core
+/// the user-thread itself may not be scheduled for hundreds of milliseconds,
+/// or may be parked inside a task of its own lane that is waiting on the
+/// churning one.
+#[derive(Debug)]
+pub(crate) struct StormWatch {
+    /// A setting that publishes no other data, hence `Relaxed`.
+    armed: AtomicBool,
+    /// Set and consumed under the `batch` lock, whose acquire/release orders
+    /// it; the unlocked `Relaxed` reads only skip work early.
+    tripped: AtomicBool,
+    /// The in-flight batch; recorded only while the detector is armed.
+    batch: Mutex<WatchedBatch>,
+}
+
+/// The transactions of the batch in flight (none between batches) and when
+/// it was dispatched.
+#[derive(Debug)]
+struct WatchedBatch {
+    txns: Vec<Arc<TxnShared>>,
+    started: Instant,
+}
+
+impl StormWatch {
+    fn new(armed: bool) -> Self {
+        StormWatch {
+            armed: AtomicBool::new(armed),
+            tripped: AtomicBool::new(false),
+            batch: Mutex::new(WatchedBatch {
+                txns: Vec::new(),
+                started: Instant::now(),
+            }),
+        }
+    }
+
+    fn armed(&self) -> bool {
+        self.armed.load(Ordering::Relaxed)
+    }
+
+    fn set_armed(&self, armed: bool) {
+        self.armed.store(armed, Ordering::Relaxed);
+    }
+
+    fn tripped(&self) -> bool {
+        self.tripped.load(Ordering::Relaxed)
+    }
+
+    /// Starts watching a dispatched batch.
+    fn watch(&self, txns: &[Arc<TxnShared>]) {
+        let mut batch = self.batch.lock();
+        batch.txns.extend(txns.iter().cloned());
+        batch.started = Instant::now();
+    }
+
+    /// Stops watching the finished batch; returns whether it tripped the
+    /// detector. Every lane has finished with the batch, so no sample races
+    /// with this.
+    fn unwatch(&self) -> bool {
+        self.batch.lock().txns.clear();
+        self.tripped.swap(false, Ordering::Relaxed)
+    }
+
+    /// Samples the detector. When the in-flight batch is livelocking right
+    /// now, abandons speculative execution of everything still in flight:
+    /// the requested rollback dismantles the tasks' speculative state
+    /// (releasing every held write lock), every lane then vacates its tasks,
+    /// and once the lanes have drained the user-thread re-runs the
+    /// transactions sequentially.
+    pub(crate) fn sample(&self) {
+        if !self.armed() || self.tripped() {
+            return;
+        }
+        // Re-checked under the lock: a second trip would request another
+        // rollback from tasks that may already have vacated.
+        let batch = self.batch.lock();
+        if self.tripped() || !batch_storming(&batch.txns, batch.started.elapsed()) {
+            return;
+        }
+        self.tripped.store(true, Ordering::Relaxed);
+        for txn in &batch.txns {
+            if !txn.is_committed() {
+                txn.set_abandoned();
+                txn.request_abort();
+            }
+        }
+    }
 }
 
 /// Merges a transaction's tasks into one composite task that runs the bodies
@@ -218,47 +316,51 @@ impl TlstmRuntime {
     }
 
     /// Registers a user-thread with an explicit speculative depth
-    /// (`SPECDEPTH`): the maximum number of simultaneously active tasks, and
-    /// therefore also the number of worker threads spawned for it.
+    /// (`SPECDEPTH`): the maximum number of simultaneously active tasks.
+    /// The calling thread of [`UThread::execute`] runs one lane of tasks
+    /// itself, so `spec_depth − 1` worker threads are spawned for the others.
     ///
     /// # Panics
     ///
     /// Panics if `spec_depth` is zero.
     pub fn register_uthread(self: &Arc<Self>, spec_depth: usize) -> UThread {
         let ptid = self.ptids.allocate();
-        let shared = Arc::new(UThreadShared::new(ptid, spec_depth));
-        let mut senders = Vec::with_capacity(spec_depth);
-        let mut workers = Vec::with_capacity(spec_depth);
-        for lane in 0..spec_depth {
+        let runner = TaskRunner {
+            substrate: Arc::clone(&self.substrate),
+            uthread: Arc::new(UThreadShared::new(ptid, spec_depth)),
+            cm: self.cm,
+            tickets: Arc::clone(&self.tickets),
+            // Speculation on a single core cannot overlap tasks on other
+            // cores, so a rollback storm there is pure livelock; on
+            // multi-core hosts the fallback stays disarmed and speculative
+            // execution is never degraded.
+            storm: Arc::new(StormWatch::new(!txmem::pause::multi_core())),
+        };
+        let (done_tx, done_rx) = unbounded();
+        let mut senders = Vec::with_capacity(spec_depth - 1);
+        let mut workers = Vec::with_capacity(spec_depth - 1);
+        for index in 0..spec_depth - 1 {
             let (tx, rx): (Sender<WorkItem>, Receiver<WorkItem>) = unbounded();
             let worker = Worker {
-                substrate: Arc::clone(&self.substrate),
-                uthread: Arc::clone(&shared),
-                cm: self.cm,
-                tickets: Arc::clone(&self.tickets),
+                runner: runner.clone(),
                 queue: rx,
+                done: done_tx.clone(),
             };
             let handle = std::thread::Builder::new()
-                .name(format!("tlstm-u{ptid}-w{lane}"))
+                .name(format!("tlstm-u{ptid}-w{index}"))
                 .spawn(move || worker.run())
                 .expect("failed to spawn TLSTM worker thread");
             senders.push(tx);
             workers.push(handle);
         }
-        let (done_tx, done_rx) = unbounded();
         UThread {
             runtime: Arc::clone(self),
-            shared,
+            runner,
+            bufs: RefCell::new(TaskBufs::default()),
             senders,
             workers,
             next_serial: Cell::new(1),
-            done_tx,
             done_rx,
-            // Speculation on a single core cannot overlap tasks on other
-            // cores, so a rollback storm there is pure livelock; on
-            // multi-core hosts the fallback stays disarmed and speculative
-            // execution is never degraded.
-            storm_enabled: Cell::new(!txmem::pause::multi_core()),
             storm_streak: Cell::new(0),
             storm_cooldown: Cell::new(0),
             storm_cooldown_len: Cell::new(STORM_COOLDOWN_BATCHES),
@@ -268,7 +370,8 @@ impl TlstmRuntime {
 }
 
 /// A TLSTM user-thread: the handle the application uses to submit
-/// user-transactions, which the runtime decomposes onto `SPECDEPTH` worker
+/// user-transactions, which the runtime decomposes onto `SPECDEPTH` lanes —
+/// one run by the calling thread itself, the others by `SPECDEPTH − 1` worker
 /// threads.
 ///
 /// The handle is `Send` (it can be moved to the application thread that drives
@@ -277,15 +380,16 @@ impl TlstmRuntime {
 #[derive(Debug)]
 pub struct UThread {
     runtime: Arc<TlstmRuntime>,
-    shared: Arc<UThreadShared>,
+    runner: TaskRunner,
+    /// Speculative buffers of the caller's own lane, recycled across batches.
+    bufs: RefCell<TaskBufs>,
     senders: Vec<Sender<WorkItem>>,
     workers: Vec<JoinHandle<()>>,
     next_serial: Cell<u64>,
-    done_tx: Sender<u64>,
     done_rx: Receiver<u64>,
-    // Abort-storm fallback state. Plain `Cell`s: a `UThread` is `Send` but
-    // not `Sync`, so these are only ever touched by the driving thread.
-    storm_enabled: Cell<bool>,
+    // Abort-storm fallback state (the detector itself is the runner's
+    // shared `StormWatch`). Plain `Cell`s: a `UThread` is `Send` but not
+    // `Sync`, so these are only ever touched by the driving thread.
     storm_streak: Cell<u32>,
     storm_cooldown: Cell<u32>,
     storm_cooldown_len: Cell<u32>,
@@ -295,12 +399,12 @@ pub struct UThread {
 impl UThread {
     /// The user-thread identifier.
     pub fn ptid(&self) -> u32 {
-        self.shared.ptid()
+        self.runner.uthread.ptid()
     }
 
     /// The speculative depth of this user-thread.
     pub fn spec_depth(&self) -> usize {
-        self.shared.spec_depth()
+        self.runner.uthread.spec_depth()
     }
 
     /// The runtime this user-thread belongs to.
@@ -312,14 +416,14 @@ impl UThread {
     /// armed only on single-core hosts (where a rollback storm is livelock
     /// by construction); on multi-core hosts the fallback is unreachable.
     pub fn storm_fallback_enabled(&self) -> bool {
-        self.storm_enabled.get()
+        self.runner.storm.armed()
     }
 
     /// Overrides the abort-storm fallback arming (tests and experiments).
     /// Disarming also clears any in-progress streak or cooldown, so the next
     /// batch runs fully speculative.
     pub fn set_storm_fallback(&self, enabled: bool) {
-        self.storm_enabled.set(enabled);
+        self.runner.storm.set_armed(enabled);
         if !enabled {
             self.storm_streak.set(0);
             self.storm_cooldown.set(0);
@@ -344,7 +448,11 @@ impl UThread {
     ///
     /// Transactions in the batch are executed in program order, but their
     /// tasks — including tasks of *future* transactions — run speculatively in
-    /// parallel up to the speculative depth.
+    /// parallel up to the speculative depth. The calling thread runs the lane
+    /// that holds the batch's last serial (the last task to retire, which it
+    /// would otherwise wait for) inline, in serial order, after handing the
+    /// other lanes' tasks to the worker threads; a single-task batch therefore
+    /// runs entirely on the calling thread.
     ///
     /// On single-core hosts an abort-storm detector watches for consecutive
     /// batches that suffer whole-transaction rollbacks; after
@@ -352,32 +460,49 @@ impl UThread {
     /// `STORM_COOLDOWN_BATCHES` batches run with each transaction's tasks
     /// merged into one (sequential plan execution, identical semantics),
     /// which breaks the intra-batch conflict livelock. Speculation is
-    /// re-probed when the cooldown expires.
+    /// re-probed when the cooldown expires. Every lane also samples the
+    /// detector after each aborted attempt: a batch that is livelocking right
+    /// now is abandoned mid-flight, its unfinished transactions re-run
+    /// sequentially on the calling thread, and the cooldown starts at once.
     ///
     /// # Panics
     ///
     /// Panics if any transaction has more tasks than the speculative depth
     /// (such a transaction could never commit).
     pub fn execute(&self, txns: Vec<TxnSpec>) -> Vec<TxnOutcome> {
-        if self.storm_enabled.get() && self.storm_cooldown.get() > 0 {
+        let storm_armed = self.runner.storm.armed();
+        if storm_armed && self.storm_cooldown.get() > 0 {
             self.storm_cooldown.set(self.storm_cooldown.get() - 1);
             self.storm_fallbacks.set(self.storm_fallbacks.get() + 1);
             return self.execute_sequential(txns);
         }
-        let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
+        let depth = self.spec_depth() as u64;
+        // Validate the whole batch before dispatching any of it: a lane left
+        // half-fed by a mid-batch panic would strand its worker forever.
+        for spec in &txns {
+            assert!(
+                spec.tasks.len() as u64 <= depth,
+                "a user-transaction with {} tasks cannot run under speculative depth {depth}",
+                spec.tasks.len()
+            );
+        }
+        let total_tasks: u64 = txns.iter().map(|spec| spec.tasks.len() as u64).sum();
+        let own_lane = (self.next_serial.get() + total_tasks).saturating_sub(1) % depth;
+        let stats = self.runner.substrate.stats.shard(self.ptid());
         let mut pending: Vec<Arc<TxnShared>> = Vec::with_capacity(txns.len());
         // When the storm detector is armed, keep each transaction's bodies
         // (cheap `Arc` clones): if the detector abandons the batch mid-flight
         // the transactions are re-run sequentially from these.
         let mut retained: Vec<Vec<TaskFn>> = Vec::new();
-        if self.storm_enabled.get() {
+        if storm_armed {
             retained.reserve(txns.len());
         }
-        let mut total_tasks = 0usize;
+        let mut own: Vec<WorkItem> = Vec::new();
+        let mut dispatched = 0usize;
         for spec in txns {
             stats.bump(&stats.tx_starts);
             txobs::tx_begin();
-            if self.storm_enabled.get() {
+            if storm_armed {
                 retained.push(spec.tasks.clone());
             }
             let n = spec.tasks.len() as u64;
@@ -385,7 +510,7 @@ impl UThread {
             let commit_serial = start_serial + n - 1;
             self.next_serial.set(commit_serial + 1);
             let txn = Arc::new(TxnShared::new(
-                Arc::clone(&self.shared),
+                Arc::clone(&self.runner.uthread),
                 start_serial,
                 commit_serial,
             ));
@@ -396,20 +521,36 @@ impl UThread {
                     try_commit: serial == commit_serial,
                     txn: Arc::clone(&txn),
                     body,
-                    done: self.done_tx.clone(),
                 };
-                let lane = (serial as usize) % self.senders.len();
-                self.senders[lane]
+                let lane = serial % depth;
+                if lane == own_lane {
+                    own.push(item);
+                    continue;
+                }
+                // The workers serve the other lanes in the order that
+                // follows the caller's; every lane is drained at the end of
+                // a batch, so the assignment may change between batches.
+                let worker = ((lane + depth - own_lane - 1) % depth) as usize;
+                self.senders[worker]
                     .send(item)
                     .expect("TLSTM worker thread terminated unexpectedly");
-                total_tasks += 1;
+                dispatched += 1;
             }
             pending.push(txn);
         }
+        if storm_armed {
+            self.runner.storm.watch(&pending);
+        }
+        {
+            // The caller's own lane.
+            let mut bufs = self.bufs.borrow_mut();
+            for item in &own {
+                self.runner.run_task(item, &mut bufs);
+            }
+        }
+        drop(own);
         let mut received = 0usize;
         let mut idle_spins = 0u32;
-        let batch_started = std::time::Instant::now();
-        let mut storm_tripped = false;
         // Spinning before the blocking receive only pays off when the worker
         // threads can retire tasks on other cores in the meantime.
         let spin_budget = if txmem::pause::multi_core() {
@@ -417,7 +558,7 @@ impl UThread {
         } else {
             0
         };
-        while received < total_tasks {
+        while received < dispatched {
             // Spin briefly first: task retirement is usually imminent, and a
             // blocking receive would put an OS wake-up on every transaction's
             // critical path.
@@ -445,7 +586,7 @@ impl UThread {
             // must wake often enough to sample the in-flight transactions; a
             // healthy or already-tripped batch can sleep the full watchdog
             // interval.
-            let slice = if self.storm_enabled.get() && !storm_tripped {
+            let slice = if storm_armed && !self.runner.storm.tripped() {
                 std::time::Duration::from_millis(10)
             } else {
                 std::time::Duration::from_millis(500)
@@ -461,34 +602,19 @@ impl UThread {
                     if self.workers.iter().any(|w| w.is_finished()) {
                         panic!("a TLSTM worker thread terminated unexpectedly (task panicked?)");
                     }
-                    if self.storm_enabled.get()
-                        && !storm_tripped
-                        && batch_storming(&pending, batch_started.elapsed())
-                    {
-                        // The batch is livelocking right now: abandon
-                        // speculative execution of everything still in
-                        // flight. The requested rollback dismantles the
-                        // tasks' speculative state (releasing every held
-                        // write lock), the workers then vacate their tasks,
-                        // and once the lanes have drained the transactions
-                        // are re-run sequentially below.
-                        storm_tripped = true;
-                        self.storm_streak.set(STORM_STREAK_THRESHOLD);
-                        self.arm_storm_cooldown();
-                        for txn in &pending {
-                            if !txn.is_committed() {
-                                txn.set_abandoned();
-                                txn.request_abort();
-                            }
-                        }
-                    }
+                    self.runner.storm.sample();
                 }
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                     panic!("TLSTM worker channels disconnected unexpectedly");
                 }
             }
         }
+        let storm_tripped = storm_armed && self.runner.storm.unwatch();
         let outcomes: Vec<TxnOutcome> = if storm_tripped {
+            // The batch was livelocking: engage the fallback right away (a
+            // re-probe that storms again re-engages it after one batch).
+            self.storm_streak.set(STORM_STREAK_THRESHOLD);
+            self.arm_storm_cooldown();
             self.finish_abandoned(pending, retained)
         } else {
             pending
@@ -503,7 +629,7 @@ impl UThread {
                 })
                 .collect()
         };
-        if self.storm_enabled.get() {
+        if storm_armed {
             // A "stormy" batch is one that needed at least one whole-batch
             // re-execution. Streaks only accumulate over speculative batches
             // (cooldown batches neither extend nor reset them), and tripping
@@ -524,16 +650,14 @@ impl UThread {
 
     /// Completes a batch whose speculative execution the storm detector
     /// abandoned: transactions that still managed to commit keep their
-    /// outcome, and the abandoned ones (fully rolled back, their worker
-    /// lanes vacated) are re-run sequentially on this thread in program
-    /// order.
+    /// outcome, and the abandoned ones (fully rolled back, their lanes
+    /// vacated) are re-run sequentially on this thread in program order.
     fn finish_abandoned(
         &self,
         pending: Vec<Arc<TxnShared>>,
         retained: Vec<Vec<TaskFn>>,
     ) -> Vec<TxnOutcome> {
         debug_assert_eq!(pending.len(), retained.len());
-        let mut bufs = crate::task::TaskBufs::default();
         let mut outcomes = Vec::with_capacity(pending.len());
         for (txn, bodies) in pending.into_iter().zip(retained) {
             if txn.is_committed() {
@@ -541,7 +665,9 @@ impl UThread {
                 // counter below this transaction's (already committed)
                 // serials; restore it so later replacements and the next
                 // batch observe their predecessors as complete.
-                self.shared.mark_completed(txn.commit_serial(), false);
+                self.runner
+                    .uthread
+                    .mark_completed(txn.commit_serial(), false);
                 outcomes.push(TxnOutcome {
                     start_serial: txn.start_serial(),
                     commit_serial: txn.commit_serial(),
@@ -557,23 +683,8 @@ impl UThread {
             // serial - 1`) holds for the replacement and for later
             // transactions of the batch.
             let commit_serial = txn.commit_serial();
-            self.shared.mark_completed(commit_serial - 1, false);
-            let merged = merge_sequential(TxnSpec { tasks: bodies });
-            let replacement = Arc::new(TxnShared::new(
-                Arc::clone(&self.shared),
-                commit_serial,
-                commit_serial,
-            ));
-            crate::worker::run_task_inline(
-                &self.runtime.substrate,
-                self.runtime.cm,
-                &self.runtime.tickets,
-                &self.shared,
-                &replacement,
-                &merged.tasks[0],
-                &mut bufs,
-            );
-            debug_assert!(replacement.is_committed());
+            self.runner.uthread.mark_completed(commit_serial - 1, false);
+            let replacement = self.run_inline(commit_serial, TxnSpec { tasks: bodies });
             outcomes.push(TxnOutcome {
                 start_serial: txn.start_serial(),
                 commit_serial,
@@ -581,6 +692,30 @@ impl UThread {
             });
         }
         outcomes
+    }
+
+    /// Runs `spec` to commit on the calling thread as one merged task at
+    /// `serial`: the sequential-fallback execution path. A single-task
+    /// transaction never waits in the task loop's program-order or
+    /// abandonment checks, so this is a plain inline STM transaction.
+    fn run_inline(&self, serial: u64, spec: TxnSpec) -> Arc<TxnShared> {
+        let txn = Arc::new(TxnShared::new(
+            Arc::clone(&self.runner.uthread),
+            serial,
+            serial,
+        ));
+        let item = WorkItem {
+            serial,
+            try_commit: true,
+            txn,
+            body: merge_sequential(spec)
+                .tasks
+                .pop()
+                .expect("merged into one task"),
+        };
+        self.runner.run_task(&item, &mut self.bufs.borrow_mut());
+        debug_assert!(item.txn.is_committed());
+        item.txn
     }
 
     /// Arms (or re-arms) a sequential-fallback cooldown window. Each re-trip
@@ -605,33 +740,17 @@ impl UThread {
     /// saturated single-core hosts where the abort-storm fallback engages,
     /// those handoffs cost more than the transactions themselves.
     fn execute_sequential(&self, txns: Vec<TxnSpec>) -> Vec<TxnOutcome> {
-        let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
-        let mut bufs = crate::task::TaskBufs::default();
+        let stats = self.runner.substrate.stats.shard(self.ptid());
         let mut outcomes = Vec::with_capacity(txns.len());
         for spec in txns {
-            let spec = merge_sequential(spec);
             stats.bump(&stats.tx_starts);
             txobs::tx_begin();
-            let start_serial = self.next_serial.get();
-            self.next_serial.set(start_serial + 1);
-            let txn = Arc::new(TxnShared::new(
-                Arc::clone(&self.shared),
-                start_serial,
-                start_serial,
-            ));
-            crate::worker::run_task_inline(
-                &self.runtime.substrate,
-                self.runtime.cm,
-                &self.runtime.tickets,
-                &self.shared,
-                &txn,
-                &spec.tasks[0],
-                &mut bufs,
-            );
-            debug_assert!(txn.is_committed());
+            let serial = self.next_serial.get();
+            self.next_serial.set(serial + 1);
+            let txn = self.run_inline(serial, spec);
             outcomes.push(TxnOutcome {
-                start_serial,
-                commit_serial: start_serial,
+                start_serial: serial,
+                commit_serial: serial,
                 rollbacks: txn.rollbacks(),
             });
         }
@@ -955,6 +1074,103 @@ mod tests {
         }
         assert!(!u.storm_active());
         assert_eq!(u.storm_fallbacks(), 0);
+    }
+
+    #[test]
+    fn depth_one_runs_transactions_on_the_calling_thread() {
+        let rt = runtime();
+        let counter = rt.heap().alloc(1).unwrap();
+        let u = rt.register_uthread(1);
+        let caller = std::thread::current().id();
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        for _ in 0..3 {
+            let seen = Arc::clone(&seen);
+            u.atomic(move |ctx| {
+                seen.lock().unwrap().push(std::thread::current().id());
+                let v = ctx.read(counter)?;
+                ctx.write(counter, v + 1)
+            });
+        }
+        assert_eq!(rt.heap().load_committed(counter), 3);
+        let seen = seen.lock().unwrap();
+        assert!(!seen.is_empty());
+        assert!(seen.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn the_caller_runs_the_lane_of_the_batchs_last_task() {
+        let rt = runtime();
+        let a = rt.heap().alloc(2).unwrap();
+        let u = rt.register_uthread(2);
+        let caller = std::thread::current().id();
+        let ran_on = Arc::new(std::sync::Mutex::new(Vec::new()));
+        // A single-task batch runs entirely on the calling thread, whatever
+        // its serial's lane.
+        for _ in 0..2 {
+            let ran_on = Arc::clone(&ran_on);
+            u.atomic(move |_ctx| {
+                ran_on.lock().unwrap().push(std::thread::current().id());
+                Ok(())
+            });
+        }
+        assert!(ran_on.lock().unwrap().iter().all(|&id| id == caller));
+        // In a two-task transaction the commit-task is the caller's; the
+        // first task goes to the worker and its write is still observed.
+        let first_on = Arc::new(std::sync::Mutex::new(None));
+        let commit_on = Arc::new(std::sync::Mutex::new(None));
+        let (f, c) = (Arc::clone(&first_on), Arc::clone(&commit_on));
+        u.run_transaction(vec![
+            task(move |ctx: &mut TaskCtx<'_>| {
+                *f.lock().unwrap() = Some(std::thread::current().id());
+                ctx.write(a, 20)
+            }),
+            task(move |ctx: &mut TaskCtx<'_>| {
+                *c.lock().unwrap() = Some(std::thread::current().id());
+                let v = ctx.read(a)?;
+                ctx.write(a.offset(1), v + 1)
+            }),
+        ]);
+        assert_eq!(*commit_on.lock().unwrap(), Some(caller));
+        assert_ne!(*first_on.lock().unwrap(), Some(caller));
+        assert_eq!(rt.heap().load_committed(a.offset(1)), 21);
+    }
+
+    #[test]
+    fn storm_on_the_callers_lane_abandons_the_batch_mid_flight() {
+        let rt = runtime();
+        let counter = rt.heap().alloc(1).unwrap();
+        let u = rt.register_uthread(2);
+        u.set_storm_fallback(true);
+        let caller = std::thread::current().id();
+        let attempts = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let churned_on = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let (tries, churn_log) = (Arc::clone(&attempts), Arc::clone(&churned_on));
+        let bump = task(move |ctx: &mut TaskCtx<'_>| {
+            let v = ctx.read(counter)?;
+            ctx.write(counter, v + 1)
+        });
+        // The commit-task (the caller's lane) forces a whole-transaction
+        // rollback on each of its first attempts: enough rollbacks for the
+        // detector to see storm-grade churn while the batch is in flight.
+        let churn = task(move |ctx: &mut TaskCtx<'_>| {
+            if tries.fetch_add(1, std::sync::atomic::Ordering::Relaxed) < STORM_BATCH_ROLLBACKS + 1
+            {
+                churn_log.lock().unwrap().push(std::thread::current().id());
+                return Err(Abort::new(txmem::AbortReason::TransactionAbortSignal));
+            }
+            let v = ctx.read(counter)?;
+            ctx.write(counter, v * 10)
+        });
+        let outcome = u.run_transaction(vec![bump, churn]);
+        // Only a mid-batch trip can engage the fallback within one batch.
+        assert!(u.storm_fallbacks() >= 1, "the batch was not abandoned");
+        assert!(u.storm_active());
+        assert_eq!(churned_on.lock().unwrap()[0], caller);
+        // Committed exactly once, with the second task seeing the first's
+        // write: (0 + 1) * 10.
+        assert_eq!(rt.heap().load_committed(counter), 10);
+        assert_eq!(rt.stats().tx_commits, 1);
+        assert!(outcome.rollbacks >= STORM_BATCH_ROLLBACKS);
     }
 
     #[test]

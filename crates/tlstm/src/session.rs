@@ -2,8 +2,9 @@
 //!
 //! The generic session API hands bodies in by *borrowed* closure
 //! (`&impl Fn` / `&mut dyn FnMut` — no `'static`, no `Arc`), while TLSTM's
-//! task machinery transports bodies to its worker threads as
-//! `Arc<dyn Fn + Send + Sync + 'static>` ([`TaskFn`]). Bridging the two
+//! task machinery transports bodies to its lanes (worker threads, and the
+//! calling thread's own lane) as `Arc<dyn Fn + Send + Sync + 'static>`
+//! ([`TaskFn`]). Bridging the two
 //! without forcing every caller to clone its state into `'static` closures
 //! is what this module's small dose of `unsafe` buys: the borrowed bodies
 //! are smuggled into `'static` tasks as raw pointers, which is sound because
@@ -13,19 +14,30 @@
 //! # Safety argument
 //!
 //! The erased pointers are dereferenced only inside task bodies, and the
-//! worker model (`crate::worker`) guarantees for every task:
+//! lane model (`crate::worker`) guarantees for every task:
 //!
-//! 1. its body is invoked by exactly one lane worker (task serials are
-//!    pinned to lanes), never by two threads at once;
-//! 2. re-executions are strictly sequential on that worker;
-//! 3. the body is never invoked again after the worker signals completion,
-//!    and `execute` returns only after *all* tasks have signalled.
+//! 1. its body is invoked by exactly one lane, never by two threads at once:
+//!    within a batch each task serial is pinned to one lane, and each lane
+//!    is executed by exactly one thread — a worker thread, or, for the
+//!    caller's own lane, the thread inside [`UThread::execute`], whose tasks
+//!    are never sent to a worker queue. The abort-storm fallback re-runs an
+//!    abandoned transaction's bodies on that thread, but only after every
+//!    lane has vacated them;
+//! 2. re-executions are strictly sequential on that lane: the task loop
+//!    retries a task in place and starts the lane's next task only after the
+//!    current one has retired or vacated;
+//! 3. every invocation completes before `execute` returns: the caller's own
+//!    lane and the fallback re-run execute inline on the calling thread, and
+//!    `execute` waits for each task sent to a worker, which signals
+//!    completion on the `done` channel after its last invocation.
 //!
-//! Hence every dereference happens-before `execute` returns, while the
-//! borrowed closures and result slot are still alive on the caller's stack.
-//! The `Arc<TaskFn>` clones a worker may still hold after retirement are
-//! only dropped, never called — and dropping a closure that captures raw
-//! pointers runs no user code.
+//! Hence every dereference happens-before `execute` returns — trivially for
+//! the caller's lane, which runs on the very thread that returns, and
+//! through the `done` channel for the workers' — while the borrowed closures
+//! and result slot are still alive on the caller's stack. The `Arc<TaskFn>`
+//! clones a lane may still hold after retirement are only dropped, never
+//! called — and dropping a closure that captures raw pointers runs no user
+//! code.
 
 use std::sync::{Arc, Mutex};
 
@@ -38,14 +50,14 @@ use crate::TaskFn;
 /// A `Send + Sync` wrapper for the raw pointers smuggled into a task.
 ///
 /// Safety: see the module-level argument — the pointees outlive every
-/// dereference, and the worker model serialises all accesses to them.
+/// dereference, and the lane model serialises all accesses to them.
 struct Smuggled<T: ?Sized>(*const T);
 
 unsafe impl<T: ?Sized> Send for Smuggled<T> {}
 unsafe impl<T: ?Sized> Sync for Smuggled<T> {}
 
 /// Like [`Smuggled`], but mutable: one task body owns one group closure
-/// exclusively (each [`TaskBody`] is a distinct `&mut`), and the worker model
+/// exclusively (each [`TaskBody`] is a distinct `&mut`), and the lane model
 /// serialises that task's executions.
 struct SmuggledMut<T: ?Sized>(*mut T);
 
@@ -173,7 +185,7 @@ impl TxSession for UThread {
                     // field) so its `Send + Sync` impls apply.
                     let erased = &erased;
                     // SAFETY: module-level argument — this task's executions
-                    // are serialised on one lane worker and end before
+                    // are serialised on one lane and end before
                     // `execute` returns; each group body is captured by
                     // exactly one task, so no two tasks alias the same
                     // `&mut` closure.
@@ -239,6 +251,28 @@ mod tests {
         let stats = TxRuntime::stats(&*rt);
         assert_eq!(stats.tx_commits, 1);
         assert_eq!(stats.task_commits, 2);
+    }
+
+    #[test]
+    fn depth_one_session_runs_bodies_on_the_calling_thread() {
+        let config = TxConfig {
+            spec_depth: 1,
+            ..TxConfig::small()
+        };
+        let rt = TlstmRuntime::new(config);
+        let counter = rt.heap().alloc(1).unwrap();
+        let mut session = TxRuntime::session(&rt);
+        let caller = std::thread::current().id();
+        for round in 0..10u64 {
+            let (seen, ran_on) = session.run(|mem| {
+                let v = mem.read(counter)?;
+                mem.write(counter, v + 1)?;
+                Ok((v, std::thread::current().id()))
+            });
+            assert_eq!(seen, round);
+            assert_eq!(ran_on, caller);
+        }
+        assert_eq!(rt.heap().load_committed(counter), 10);
     }
 
     #[test]

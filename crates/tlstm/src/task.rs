@@ -9,7 +9,8 @@
 //! ## Recycled task state
 //!
 //! All per-task speculative state lives in a `TaskBufs` owned by the
-//! *worker thread* and lent to each [`TaskCtx`] it runs: the read logs, the
+//! *lane* (a worker thread, or the user-thread's own lane) and lent to each
+//! [`TaskCtx`] it runs: the read logs, the
 //! log-structured write set ([`txmem::WriteSet`]) and the acquired-locks and
 //! commit scratch vectors are recycled across attempts **and across tasks**.
 //! Published [`TaskLogs`] are drawn from (and returned to) a per-user-thread
@@ -38,9 +39,9 @@ fn contention_pause(iteration: u32) {
     txmem::pause::contention_pause(iteration, SPIN_BEFORE_YIELD);
 }
 
-/// Recyclable speculative buffers of one worker thread.
+/// Recyclable speculative buffers of one lane.
 ///
-/// A worker creates one `TaskBufs` for its lifetime and lends it to every
+/// A lane creates one `TaskBufs` for its lifetime and lends it to every
 /// [`TaskCtx`] it runs; all vectors and the write set retain their capacity
 /// across attempts and tasks.
 #[derive(Debug, Default)]
@@ -64,7 +65,7 @@ pub(crate) struct TaskBufs {
 /// The same context is reused across re-executions of the task (after
 /// intra-thread or inter-thread conflicts); `TaskCtx::reset_for_attempt`
 /// clears the speculative state between attempts. The backing buffers come
-/// from the worker's recycled `TaskBufs`.
+/// from the lane's recycled `TaskBufs`.
 #[derive(Debug)]
 pub struct TaskCtx<'rt> {
     substrate: &'rt TxSubstrate,
@@ -177,10 +178,6 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     // --- crate-internal lifecycle -------------------------------------------
-
-    pub(crate) fn uthread(&self) -> &Arc<UThreadShared> {
-        &self.uthread
-    }
 
     pub(crate) fn txn(&self) -> &Arc<TxnShared> {
         &self.txn
@@ -656,7 +653,7 @@ impl<'rt> TaskCtx<'rt> {
     /// # Errors
     ///
     /// Returns [`Abort`] when the task (or its whole transaction) must roll
-    /// back; the worker loop interprets the abort reason.
+    /// back; the task loop interprets the abort reason.
     pub(crate) fn task_commit(&mut self) -> Result<(), Abort> {
         // Wait for all past tasks of the user-thread to complete (line 66).
         loop {

@@ -104,7 +104,7 @@ pub struct TxnShared {
     priority: AtomicU64,
     /// The user-thread has abandoned speculative execution of this
     /// transaction (abort-storm fallback): once the pending rollback has
-    /// dismantled the tasks' speculative state, workers vacate their tasks
+    /// dismantled the tasks' speculative state, lanes vacate their tasks
     /// instead of re-executing and the user-thread re-runs the transaction
     /// sequentially inline.
     abandoned: AtomicBool,
@@ -230,7 +230,7 @@ impl TxnShared {
 
     /// `true` once the user-thread has abandoned speculative execution of
     /// this transaction (abort-storm fallback): after the pending rollback
-    /// completes, every worker vacates its task instead of re-executing it,
+    /// completes, every lane vacates its task instead of re-executing it,
     /// and the user-thread re-runs the transaction sequentially inline.
     pub fn abandoned(&self) -> bool {
         self.abandoned.load(Ordering::Acquire)
