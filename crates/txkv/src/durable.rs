@@ -1,13 +1,14 @@
 //! The durable front-end: `txkv` over the [`txlog`] write-ahead log.
 //!
-//! A [`DurableKvStore`] wraps a [`KvServer`] (either runtime) with a
-//! **logical redo log** above the STM commit point:
+//! A [`DurableKvStore`] wraps a [`KvServer`] (any runtime) with a
+//! **logical redo log** above the STM commit point. Its sessions are the
+//! same [`KvSession`] type the in-memory server hands out, carrying a link
+//! to the log; through that link [`KvSession::batch`] adds two steps:
 //!
 //! 1. every batch that contains a write is stamped with a **commit sequence
 //!    number** (LSN) by reading and incrementing a dedicated heap word
-//!    *inside* the batch's transaction ([`KvSession::batch_logged`]) — STM
-//!    serialisability makes the LSN order identical to the commit order, on
-//!    SwissTM and TLSTM alike;
+//!    *inside* the batch's transaction — STM serialisability makes the LSN
+//!    order identical to the commit order, on SwissTM and TLSTM alike;
 //! 2. after the STM commit, the batch's *write* operations plus the plan
 //!    parameters (shard count, effective group count) are encoded as a
 //!    record and handed to the group-commit [`LogWriter`]; the committer
@@ -43,7 +44,7 @@
 //!   and moves the store to [`Health::Degraded`] — the batch in flight gets
 //!   the root-cause [`WalError::Storage`], every later write batch is
 //!   refused *before* its in-memory commit with [`WalError::Degraded`], and
-//!   reads ([`DurableKvSession::get`]/[`DurableKvSession::scan`]) keep
+//!   reads (read-only batches, [`KvSession::get`], [`KvSession::scan`]) keep
 //!   serving the committed in-memory state;
 //! * [`DurableKvStore::try_rearm`] recovers a degraded store without a
 //!   restart: it snapshots the in-memory state, opens a fresh log segment at
@@ -313,11 +314,6 @@ impl<R: TxRuntime> DurableKvStore<R> {
         self.server.store()
     }
 
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// What booting this store recovered.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
@@ -410,18 +406,20 @@ impl<R: TxRuntime> DurableKvStore<R> {
         self.server.populate(entries);
     }
 
-    /// Opens a durable session. Each client thread needs its own. Sessions
-    /// share the store's WAL slot, so they follow a
-    /// [`DurableKvStore::try_rearm`] onto the replacement writer
+    /// Opens a session whose write batches are logged: once a write batch
+    /// returns `Ok`, it is durable per the store's fsync policy. Each client
+    /// thread needs its own. Sessions share the store's WAL slot, so they
+    /// follow a [`DurableKvStore::try_rearm`] onto the replacement writer
     /// automatically.
-    pub fn session(&self) -> DurableKvSession<R> {
-        DurableKvSession {
-            inner: self.server.session(),
+    pub fn session(&self) -> KvSession<R> {
+        let mut session = self.server.session();
+        session.wal = Some(WalLink {
             seq: self.seq,
             wal: Arc::clone(&self.wal),
             shards: self.server.store().shards(),
             groups: self.server.batch_tasks(),
-        }
+        });
+        session
     }
 
     /// A consistent `(lsn, payload)` snapshot of the committed in-memory
@@ -490,11 +488,11 @@ fn wal_io_error(error: &WalError) -> io::Error {
     }
 }
 
-/// A per-client durable session: batches are atomic *and* — once the call
-/// returns `Ok` — durable per the store's fsync policy.
+/// A session's link to its store's write-ahead log: the commit sequence
+/// word, the shared WAL slot and the plan parameters a redo record carries.
+/// [`DurableKvStore::session`] attaches one to every [`KvSession`] it opens.
 #[derive(Debug)]
-pub struct DurableKvSession<R: TxRuntime> {
-    inner: KvSession<R>,
+pub(crate) struct WalLink {
     seq: WordAddr,
     wal: Arc<WalCell>,
     shards: u64,
@@ -509,27 +507,19 @@ fn op_writes(op: &KvOp) -> bool {
     )
 }
 
-impl<R: TxRuntime> DurableKvSession<R> {
-    /// Executes `ops` as one atomic transaction; if the batch contains any
-    /// write, parks until its redo record is durable before returning.
-    /// Read-only batches skip the log entirely.
-    ///
-    /// # Errors
-    ///
-    /// * [`WalError::Crashed`] — the WAL writer died before the record was
-    ///   acknowledged. The in-memory commit stands, but the write is **not**
-    ///   acknowledged as durable: after a restart, recovery may or may not
-    ///   include it (it is beyond the acknowledged prefix).
-    /// * [`WalError::Storage`] — this batch's record hit a storage failure
-    ///   that survived the WAL's retries. Same contract as `Crashed`: the
-    ///   in-memory commit stands, durability is not acknowledged (a later
-    ///   [`DurableKvStore::try_rearm`] snapshots it in).
-    /// * [`WalError::Degraded`] — the log was already poisoned when this
-    ///   batch arrived; it was refused **before** the in-memory commit, so
-    ///   the store state is untouched. Reads keep working throughout.
-    pub fn batch(&mut self, ops: Vec<KvOp>) -> Result<Vec<KvReply>, WalError> {
+impl WalLink {
+    /// The logged path of [`KvSession::batch`]: `execute` runs the batch as
+    /// one transaction, stamping it with a commit sequence number when given
+    /// the sequence word. A batch that writes is stamped, logged, and
+    /// acknowledged only once its redo record is durable; a read-only batch
+    /// skips the log entirely.
+    pub(crate) fn batch(
+        &self,
+        ops: Vec<KvOp>,
+        execute: impl FnOnce(Vec<KvOp>, Option<WordAddr>) -> (Vec<KvReply>, Option<u64>),
+    ) -> Result<Vec<KvReply>, WalError> {
         if !ops.iter().any(op_writes) {
-            return Ok(self.inner.batch(ops));
+            return Ok(execute(ops, None).0);
         }
         // Fail fast while the log is dead: refusing *before* the in-memory
         // commit keeps degraded-mode write attempts free of side effects
@@ -554,78 +544,12 @@ impl<R: TxRuntime> DurableKvSession<R> {
             // Encode before execution (the ops move into the transaction);
             // the LSN lives in the frame header, not the payload.
             let payload = encode_record(self.shards, self.groups, &ops);
-            let (replies, lsn) = self.inner.batch_logged(ops, self.seq);
+            let (replies, lsn) = execute(ops, Some(self.seq));
+            let lsn = lsn.expect("stamped batches always produce a sequence");
             (replies, writer.append(lsn, payload)?)
         };
         ticket.wait()?;
         Ok(replies)
-    }
-
-    /// Executes several independently-submitted sub-batches as **one**
-    /// atomic, durable transaction and splits the replies back per
-    /// sub-batch: the coalesced batch carries one commit sequence number,
-    /// one redo record and one group-commit ticket, so N client requests
-    /// amortise a single STM commit *and* a single fsync acknowledgement —
-    /// the seam the network front-end's server-side coalescing builds on.
-    /// If no sub-batch contains a write, the log is skipped entirely.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::batch`]; the durability contract applies to the coalesced
-    /// batch as a whole (all sub-batches ack together or none do).
-    pub fn batch_with_replies(
-        &mut self,
-        requests: Vec<Vec<KvOp>>,
-    ) -> Result<Vec<Vec<KvReply>>, WalError> {
-        let lens: Vec<usize> = requests.iter().map(Vec::len).collect();
-        let replies = self.batch(requests.into_iter().flatten().collect())?;
-        Ok(crate::ops::split_replies(&lens, replies))
-    }
-
-    /// Reads `key` (never logged).
-    pub fn get(&mut self, key: u64) -> Option<Vec<u64>> {
-        self.inner.get(key)
-    }
-
-    /// Ordered scan (never logged).
-    pub fn scan(&mut self, lo: u64, hi: u64, limit: u64) -> Vec<(u64, u64)> {
-        self.inner.scan(lo, hi, limit)
-    }
-
-    /// Durable single-key write. Returns `true` on fresh insert.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::batch`].
-    pub fn put(&mut self, key: u64, value: Vec<u64>) -> Result<bool, WalError> {
-        match self.batch(vec![KvOp::Put { key, value }])?.pop() {
-            Some(KvReply::Inserted(fresh)) => Ok(fresh),
-            other => unreachable!("put produced {other:?}"),
-        }
-    }
-
-    /// Durable single-key delete. Returns `true` if the key existed.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::batch`].
-    pub fn delete(&mut self, key: u64) -> Result<bool, WalError> {
-        match self.batch(vec![KvOp::Delete { key }])?.pop() {
-            Some(KvReply::Removed(existed)) => Ok(existed),
-            other => unreachable!("delete produced {other:?}"),
-        }
-    }
-
-    /// Durable compare-and-swap.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::batch`].
-    pub fn cas(&mut self, key: u64, expected: Vec<u64>, new: Vec<u64>) -> Result<bool, WalError> {
-        match self.batch(vec![KvOp::Cas { key, expected, new }])?.pop() {
-            Some(KvReply::Swapped(swapped)) => Ok(swapped),
-            other => unreachable!("cas produced {other:?}"),
-        }
     }
 }
 

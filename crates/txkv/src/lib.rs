@@ -13,15 +13,18 @@
 //!   serves ordered `scan(lo..hi)` queries. Operations: `get`, `put`,
 //!   `delete`, `cas`, `scan`, and multi-operation atomic batches.
 //! * [`KvServer`] / [`KvSession`] — the in-process front-end: one runtime
-//!   (SwissTM or TLSTM) and per-client session handles. Under TLSTM a batch
-//!   is split into speculative tasks, one per shard-group, demonstrating the
-//!   paper's TLS-inside-transactions win on long multi-key operations.
+//!   (SwissTM, TLSTM or `seqref`) and per-client session handles. Under
+//!   TLSTM a batch is split into speculative tasks, one per shard-group,
+//!   demonstrating the paper's TLS-inside-transactions win on long
+//!   multi-key operations. [`KvSession::batch`] is the one entry point for
+//!   in-memory and durable sessions alike.
 //! * [`RefStore`] — the sequential oracle with identical semantics
 //!   (including batch plan order), used by the conformance tests.
 //!
 //! A fourth, optional layer makes the store crash-safe: [`DurableKvStore`]
 //! (module [`durable`]) wraps a [`KvServer`] with the `txlog` write-ahead
-//! log — committed write batches are redo-logged with a commit sequence
+//! log, and its [`DurableKvStore::session`] returns a [`KvSession`] linked to
+//! that log — committed write batches are redo-logged with a commit sequence
 //! number assigned at STM commit time, group-committed with a configurable
 //! fsync policy, snapshotted, and recovered after a crash to an exact
 //! batch-boundary prefix that contains every acknowledged write. On a
@@ -39,11 +42,15 @@
 //! server.populate((0..100u64).map(|k| (k, vec![k, k])));
 //!
 //! let mut session = server.session();
-//! let replies = session.batch(vec![
-//!     KvOp::Get { key: 7 },
-//!     KvOp::Cas { key: 7, expected: vec![7, 7], new: vec![8, 8] },
-//!     KvOp::Scan { lo: 0, hi: 10, limit: 100 },
-//! ]);
+//! // In-memory sessions never fail; a durable session's write batch can
+//! // fail with a typed `WalError`.
+//! let replies = session
+//!     .batch(vec![
+//!         KvOp::Get { key: 7 },
+//!         KvOp::Cas { key: 7, expected: vec![7, 7], new: vec![8, 8] },
+//!         KvOp::Scan { lo: 0, hi: 10, limit: 100 },
+//!     ])
+//!     .unwrap();
 //! assert_eq!(replies[0], KvReply::Value(Some(vec![7, 7])));
 //! assert_eq!(replies[1], KvReply::Swapped(true));
 //! assert_eq!(session.get(7), Some(vec![8, 8]));
@@ -58,7 +65,7 @@ pub mod ref_store;
 pub mod server;
 pub mod store;
 
-pub use durable::{DurableKvConfig, DurableKvSession, DurableKvStore, Health, RecoveryReport};
+pub use durable::{DurableKvConfig, DurableKvStore, Health, RecoveryReport};
 pub use ops::{checksum, plan_batch, shard_of, split_replies, KvOp, KvReply};
 pub use ref_store::RefStore;
 pub use server::{KvServer, KvServerConfig, KvSession};

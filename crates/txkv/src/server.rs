@@ -22,11 +22,14 @@ use swisstm::SwisstmRuntime;
 use tlstm::TlstmRuntime;
 use txmem::{
     run_boxed_tasks, Abort, BoxedTaskBody, DirectMem, SeqRefRuntime, StatsSnapshot, TxConfig,
-    TxHeap, TxMem, TxRuntime, TxSession, WordAddr,
+    TxMem, TxRuntime, TxSession, WordAddr,
 };
 
 use std::sync::Arc;
 
+use txlog::WalError;
+
+use crate::durable::WalLink;
 use crate::ops::{plan_batch, KvOp, KvReply};
 use crate::store::{KvStore, KvStoreParams};
 
@@ -101,11 +104,6 @@ impl<R: TxRuntime> KvServer<R> {
         R::LABEL
     }
 
-    /// The shared transactional heap.
-    pub fn heap(&self) -> &TxHeap {
-        self.runtime.heap()
-    }
-
     /// Non-transactional direct access (initialisation and test inspection
     /// only — never while sessions are running).
     pub fn direct(&self) -> DirectMem<'_> {
@@ -128,17 +126,14 @@ impl<R: TxRuntime> KvServer<R> {
         self.runtime.stats()
     }
 
-    /// Per-shard statistics snapshots (see [`TxRuntime::stats_per_shard`]).
-    pub fn stats_per_shard(&self) -> Vec<StatsSnapshot> {
-        self.runtime.stats_per_shard()
-    }
-
-    /// Opens a session. Each client thread needs its own.
+    /// Opens an in-memory session (no write-ahead log). Each client thread
+    /// needs its own.
     pub fn session(&self) -> KvSession<R> {
         KvSession {
             session: self.runtime.session(),
             store: self.store,
             batch_tasks: self.batch_tasks,
+            wal: None,
         }
     }
 }
@@ -166,206 +161,106 @@ impl KvServer<SeqRefRuntime> {
 }
 
 /// A per-client handle: submits operations and batches to the server.
+///
+/// [`KvServer::session`] returns an in-memory session;
+/// [`DurableKvStore::session`](crate::DurableKvStore::session) returns the
+/// same type carrying a link to the store's write-ahead log, so every write
+/// batch is also logged and acknowledged per the store's fsync policy.
 #[derive(Debug)]
 pub struct KvSession<R: TxRuntime> {
     session: R::Session,
     store: KvStore,
     batch_tasks: usize,
+    pub(crate) wal: Option<WalLink>,
 }
 
 impl<R: TxRuntime> KvSession<R> {
-    /// Reads `key` in its own transaction.
+    /// Reads `key` in its own transaction (never logged).
     pub fn get(&mut self, key: u64) -> Option<Vec<u64>> {
         match self.batch_one(KvOp::Get { key }) {
-            KvReply::Value(v) => v,
+            Ok(KvReply::Value(v)) => v,
             other => unreachable!("get produced {other:?}"),
         }
     }
 
     /// Writes `key → value` in its own transaction. Returns `true` on fresh
-    /// insert.
-    pub fn put(&mut self, key: u64, value: Vec<u64>) -> bool {
-        match self.batch_one(KvOp::Put { key, value }) {
-            KvReply::Inserted(fresh) => fresh,
+    /// insert; fails like [`Self::batch`].
+    pub fn put(&mut self, key: u64, value: Vec<u64>) -> Result<bool, WalError> {
+        match self.batch_one(KvOp::Put { key, value })? {
+            KvReply::Inserted(fresh) => Ok(fresh),
             other => unreachable!("put produced {other:?}"),
         }
     }
 
-    /// Deletes `key` in its own transaction. Returns `true` if it existed.
-    pub fn delete(&mut self, key: u64) -> bool {
-        match self.batch_one(KvOp::Delete { key }) {
-            KvReply::Removed(existed) => existed,
+    /// Deletes `key` in its own transaction. Returns `true` if it existed;
+    /// fails like [`Self::batch`].
+    pub fn delete(&mut self, key: u64) -> Result<bool, WalError> {
+        match self.batch_one(KvOp::Delete { key })? {
+            KvReply::Removed(existed) => Ok(existed),
             other => unreachable!("delete produced {other:?}"),
         }
     }
 
-    /// Compare-and-swap in its own transaction.
-    pub fn cas(&mut self, key: u64, expected: Vec<u64>, new: Vec<u64>) -> bool {
-        match self.batch_one(KvOp::Cas { key, expected, new }) {
-            KvReply::Swapped(swapped) => swapped,
+    /// Compare-and-swap in its own transaction; fails like [`Self::batch`].
+    pub fn cas(&mut self, key: u64, expected: Vec<u64>, new: Vec<u64>) -> Result<bool, WalError> {
+        match self.batch_one(KvOp::Cas { key, expected, new })? {
+            KvReply::Swapped(swapped) => Ok(swapped),
             other => unreachable!("cas produced {other:?}"),
         }
     }
 
-    /// Ordered scan in its own transaction.
+    /// Ordered scan in its own transaction (never logged).
     pub fn scan(&mut self, lo: u64, hi: u64, limit: u64) -> Vec<(u64, u64)> {
         match self.batch_one(KvOp::Scan { lo, hi, limit }) {
-            KvReply::Scan(hits) => hits,
+            Ok(KvReply::Scan(hits)) => hits,
             other => unreachable!("scan produced {other:?}"),
         }
     }
 
-    fn batch_one(&mut self, op: KvOp) -> KvReply {
-        self.batch(vec![op])
+    fn batch_one(&mut self, op: KvOp) -> Result<KvReply, WalError> {
+        Ok(self
+            .batch(vec![op])?
             .pop()
-            .expect("single-op batch yields one reply")
+            .expect("single-op batch yields one reply"))
     }
 
     /// Executes `ops` as one atomic transaction and returns one reply per
     /// operation, in submission order. Execution follows the batch plan (see
     /// [`crate::ops::plan_batch`]); under a speculative runtime each
     /// non-empty shard-group runs as its own task.
-    pub fn batch(&mut self, ops: Vec<KvOp>) -> Vec<KvReply> {
-        self.batch_inner(ops, None).0
-    }
-
-    /// Executes several independently-submitted sub-batches (typically one
-    /// per client request) as **one** atomic transaction and splits the
-    /// replies back per sub-batch — the server-side coalescing seam the
-    /// network front-end builds on: N requests share one plan, one commit.
-    /// Request order and operation order within each request are preserved;
-    /// empty sub-batches yield empty reply lists.
-    pub fn batch_with_replies(&mut self, requests: Vec<Vec<KvOp>>) -> Vec<Vec<KvReply>> {
-        let lens: Vec<usize> = requests.iter().map(Vec::len).collect();
-        let replies = self.batch(requests.into_iter().flatten().collect());
-        crate::ops::split_replies(&lens, replies)
-    }
-
-    /// Like [`Self::batch`], but additionally stamps the transaction with a
-    /// **commit sequence number**: the word at `seq` is read and incremented
-    /// *inside* the transaction, so the returned numbers of concurrent
-    /// batches are dense and ordered exactly as the STM serialises their
-    /// commits — the property the durable front-end's redo log relies on.
     ///
-    /// # Panics
+    /// On a session with a write-ahead log, a batch that contains a write
+    /// also parks until its redo record is durable before returning;
+    /// read-only batches skip the log entirely. Several client requests can
+    /// share one transaction, one redo record and one acknowledgement by
+    /// being concatenated into one batch (split the replies back with
+    /// [`crate::split_replies`]).
     ///
-    /// Panics if `ops` is empty (there is nothing to stamp).
-    pub fn batch_logged(&mut self, ops: Vec<KvOp>, seq: WordAddr) -> (Vec<KvReply>, u64) {
-        assert!(!ops.is_empty(), "cannot stamp an empty batch");
-        let (replies, lsn) = self.batch_inner(ops, Some(seq));
-        (
-            replies,
-            lsn.expect("stamped batches always produce a sequence"),
-        )
-    }
-
-    fn batch_inner(
-        &mut self,
-        ops: Vec<KvOp>,
-        seq: Option<WordAddr>,
-    ) -> (Vec<KvReply>, Option<u64>) {
-        if ops.is_empty() {
-            return (Vec::new(), None);
+    /// # Errors
+    ///
+    /// Only a session with a write-ahead log fails, and only on a batch
+    /// that writes:
+    ///
+    /// * [`WalError::Crashed`] — the WAL writer died before the record was
+    ///   acknowledged. The in-memory commit stands, but the write is **not**
+    ///   acknowledged as durable: after a restart, recovery may or may not
+    ///   include it (it is beyond the acknowledged prefix).
+    /// * [`WalError::Storage`] — this batch's record hit a storage failure
+    ///   that survived the WAL's retries. Same contract as `Crashed`: the
+    ///   in-memory commit stands, durability is not acknowledged (a later
+    ///   [`DurableKvStore::try_rearm`](crate::DurableKvStore::try_rearm)
+    ///   snapshots it in).
+    /// * [`WalError::Degraded`] — the log was already poisoned when this
+    ///   batch arrived; it was refused **before** the in-memory commit, so
+    ///   the store state is untouched. Reads keep working throughout.
+    pub fn batch(&mut self, ops: Vec<KvOp>) -> Result<Vec<KvReply>, WalError> {
+        let (session, store, tasks) = (&mut self.session, self.store, self.batch_tasks);
+        match &self.wal {
+            Some(link) => link.batch(ops, |ops, seq| {
+                batch_inner::<R>(session, store, tasks, ops, seq)
+            }),
+            None => Ok(batch_inner::<R>(session, store, tasks, ops, None).0),
         }
-        let store = self.store;
-        let groups: Vec<Vec<usize>> = plan_batch(&ops, store.shards(), self.batch_tasks)
-            .into_iter()
-            .filter(|group| !group.is_empty())
-            .collect();
-        if !R::SPECULATIVE {
-            // Sequential runtimes apply the plan's groups in order inside one
-            // monomorphized transaction: the memory operations inline into
-            // the runtime's transaction loop instead of going through the
-            // task group's `&mut dyn TxMem` erasure.
-            let ops_ref = &ops;
-            let groups_ref = &groups;
-            let (filled, lsn) = self.session.run(|mem| {
-                let lsn = match seq {
-                    Some(seq) => {
-                        let lsn = mem.read(seq)?;
-                        mem.write(seq, lsn + 1)?;
-                        Some(lsn)
-                    }
-                    None => None,
-                };
-                let mut filled: Vec<(usize, KvReply)> = Vec::with_capacity(ops_ref.len());
-                for group in groups_ref {
-                    for &index in group {
-                        filled.push((index, store.apply(mem, &ops_ref[index])?));
-                    }
-                }
-                Ok((filled, lsn))
-            });
-            debug_assert_eq!(lsn.is_some(), seq.is_some());
-            let mut replies: Vec<Option<KvReply>> = vec![None; ops.len()];
-            for (index, reply) in filled {
-                replies[index] = Some(reply);
-            }
-            return (
-                replies
-                    .into_iter()
-                    .map(|r| r.expect("plan covers every op"))
-                    .collect(),
-                lsn,
-            );
-        }
-        // One reply vector per group, filled inside the transaction. The
-        // sequence stamp rides in the first group's body; its position inside
-        // the transaction is irrelevant for the commit order it captures.
-        let mut group_replies: Vec<Vec<(usize, KvReply)>> =
-            groups.iter().map(|g| Vec::with_capacity(g.len())).collect();
-        let mut lsn_out: Option<u64> = None;
-        {
-            let mut lsn_slot = Some(&mut lsn_out);
-            let mut pending_seq = seq;
-            let ops = &ops;
-            let mut bodies: Vec<BoxedTaskBody<'_>> = groups
-                .iter()
-                .zip(group_replies.iter_mut())
-                .map(|(group, replies)| {
-                    let task_seq = pending_seq.take();
-                    let mut task_lsn = if task_seq.is_some() {
-                        lsn_slot.take()
-                    } else {
-                        None
-                    };
-                    let body = move |mem: &mut dyn TxMem| -> Result<(), Abort> {
-                        if let Some(seq) = task_seq {
-                            let lsn = mem.read(seq)?;
-                            mem.write(seq, lsn + 1)?;
-                            // Re-executions overwrite the slot, so only the
-                            // committed execution's stamp survives (same
-                            // idiom as the reply slots below).
-                            **task_lsn.as_mut().expect("stamping body owns the slot") = Some(lsn);
-                        }
-                        // A body may re-execute after a conflict; start each
-                        // execution from an empty reply slot so only the
-                        // committed execution's replies survive.
-                        replies.clear();
-                        for &index in group {
-                            replies.push((index, store.apply(mem, &ops[index])?));
-                        }
-                        Ok(())
-                    };
-                    Box::new(body) as BoxedTaskBody<'_>
-                })
-                .collect();
-            run_boxed_tasks(&mut self.session, &mut bodies);
-        }
-        debug_assert_eq!(lsn_out.is_some(), seq.is_some());
-        let mut replies: Vec<Option<KvReply>> = vec![None; ops.len()];
-        for filled in group_replies {
-            for (index, reply) in filled {
-                replies[index] = Some(reply);
-            }
-        }
-        (
-            replies
-                .into_iter()
-                .map(|r| r.expect("plan covers every op"))
-                .collect(),
-            lsn_out,
-        )
     }
 
     /// Runs `body` as one atomic transaction (a single task under a
@@ -373,13 +268,111 @@ impl<R: TxRuntime> KvSession<R> {
     /// receives a `&mut dyn TxMem`, so store code generic over the memory
     /// runs inside it on any runtime; like any transaction body it may
     /// re-execute and must be side-effect free apart from its return value.
-    pub fn transact<T, F>(&mut self, body: F) -> T
+    pub(crate) fn transact<T, F>(&mut self, body: F) -> T
     where
         F: Fn(&mut dyn TxMem) -> Result<T, Abort> + Send + Sync,
         T: Send,
     {
         self.session.run(move |mem| body(mem as &mut dyn TxMem))
     }
+}
+
+/// Executes `ops` as one transaction of `session`. With `seq`, the
+/// transaction is also stamped with a **commit sequence number**: the word
+/// at `seq` is read and incremented *inside* the transaction, so the
+/// returned numbers of concurrent batches are dense and ordered exactly as
+/// the STM serialises their commits — the property the durable front-end's
+/// redo log relies on. An empty batch runs no transaction (and is never
+/// stamped).
+fn batch_inner<R: TxRuntime>(
+    session: &mut R::Session,
+    store: KvStore,
+    batch_tasks: usize,
+    ops: Vec<KvOp>,
+    seq: Option<WordAddr>,
+) -> (Vec<KvReply>, Option<u64>) {
+    if ops.is_empty() {
+        return (Vec::new(), None);
+    }
+    let groups: Vec<Vec<usize>> = plan_batch(&ops, store.shards(), batch_tasks)
+        .into_iter()
+        .filter(|group| !group.is_empty())
+        .collect();
+    if !R::SPECULATIVE {
+        // Sequential runtimes apply the plan's groups in order inside one
+        // monomorphized transaction: the memory operations inline into
+        // the runtime's transaction loop instead of going through the
+        // task group's `&mut dyn TxMem` erasure.
+        let (ops_ref, groups_ref) = (&ops, &groups);
+        let (filled, lsn) = session.run(|mem| {
+            let lsn = stamp(mem, seq)?;
+            let mut filled: Vec<(usize, KvReply)> = Vec::with_capacity(ops_ref.len());
+            for &index in groups_ref.iter().flatten() {
+                filled.push((index, store.apply(mem, &ops_ref[index])?));
+            }
+            Ok((filled, lsn))
+        });
+        return (in_submission_order(ops.len(), filled), lsn);
+    }
+    // One reply vector per group, filled inside the transaction. The
+    // sequence stamp rides in the first group's body; its position inside
+    // the transaction is irrelevant for the commit order it captures.
+    let mut group_replies: Vec<Vec<(usize, KvReply)>> =
+        groups.iter().map(|g| Vec::with_capacity(g.len())).collect();
+    let mut lsn = None;
+    {
+        let mut lsn_slot = Some(&mut lsn);
+        let ops = &ops;
+        let mut bodies: Vec<BoxedTaskBody<'_>> = groups
+            .iter()
+            .zip(group_replies.iter_mut())
+            .map(|(group, replies)| {
+                let mut task_lsn = lsn_slot.take();
+                let body = move |mem: &mut dyn TxMem| -> Result<(), Abort> {
+                    // Re-executions overwrite the slots, so only the
+                    // committed execution's stamp and replies survive.
+                    if let Some(slot) = task_lsn.as_mut() {
+                        **slot = stamp(mem, seq)?;
+                    }
+                    replies.clear();
+                    for &index in group {
+                        replies.push((index, store.apply(mem, &ops[index])?));
+                    }
+                    Ok(())
+                };
+                Box::new(body) as BoxedTaskBody<'_>
+            })
+            .collect();
+        run_boxed_tasks(session, &mut bodies);
+    }
+    let filled = group_replies.into_iter().flatten();
+    (in_submission_order(ops.len(), filled), lsn)
+}
+
+/// Reads and increments the sequence word at `seq`, returning the stamp.
+fn stamp<M: TxMem + ?Sized>(mem: &mut M, seq: Option<WordAddr>) -> Result<Option<u64>, Abort> {
+    seq.map(|seq| {
+        let lsn = mem.read(seq)?;
+        mem.write(seq, lsn + 1)?;
+        Ok(lsn)
+    })
+    .transpose()
+}
+
+/// Orders `(op index, reply)` pairs filled in plan order back into
+/// submission order.
+fn in_submission_order(
+    len: usize,
+    filled: impl IntoIterator<Item = (usize, KvReply)>,
+) -> Vec<KvReply> {
+    let mut replies: Vec<Option<KvReply>> = vec![None; len];
+    for (index, reply) in filled {
+        replies[index] = Some(reply);
+    }
+    replies
+        .into_iter()
+        .map(|r| r.expect("plan covers every op"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -431,7 +424,7 @@ mod tests {
             self.populate((0..n).map(|k| (k, vec![k, k + 1])));
         }
         fn run_batch(&self, ops: Vec<KvOp>) -> Vec<KvReply> {
-            self.session().batch(ops)
+            self.session().batch(ops).unwrap()
         }
         fn dump(&self) -> Vec<(u64, Vec<u64>)> {
             self.store().dump(&mut self.direct()).unwrap()
@@ -442,16 +435,22 @@ mod tests {
         fn single_op_round_trip(&self) {
             let label = self.runtime_label();
             let mut session = self.session();
-            assert!(session.put(1, vec![10, 20]), "{label}");
+            assert!(session.put(1, vec![10, 20]).unwrap(), "{label}");
             assert_eq!(session.get(1), Some(vec![10, 20]), "{label}");
-            assert!(session.cas(1, vec![10, 20], vec![30, 40]), "{label}");
-            assert!(!session.cas(1, vec![10, 20], vec![0, 0]), "{label}");
+            assert!(
+                session.cas(1, vec![10, 20], vec![30, 40]).unwrap(),
+                "{label}"
+            );
+            assert!(
+                !session.cas(1, vec![10, 20], vec![0, 0]).unwrap(),
+                "{label}"
+            );
             assert_eq!(
                 session.scan(0, 10, 10),
                 vec![(1, checksum(&[30, 40]))],
                 "{label}"
             );
-            assert!(session.delete(1), "{label}");
+            assert!(session.delete(1).unwrap(), "{label}");
             assert_eq!(session.get(1), None, "{label}");
         }
     }
@@ -545,7 +544,12 @@ mod tests {
             ],
         ];
         let committed_before = server.stats().tx_commits;
-        let split = server.session().batch_with_replies(requests.clone());
+        let lens: Vec<usize> = requests.iter().map(Vec::len).collect();
+        let replies = server
+            .session()
+            .batch(requests.iter().flatten().cloned().collect())
+            .unwrap();
+        let split = crate::split_replies(&lens, replies);
         assert_eq!(
             server.stats().tx_commits - committed_before,
             1,
@@ -568,7 +572,7 @@ mod tests {
         let mut session = server.session();
         // A batch over many keys lands in several shard-groups.
         let ops: Vec<KvOp> = (0..32u64).map(|k| KvOp::Get { key: k * 3 }).collect();
-        let replies = session.batch(ops);
+        let replies = session.batch(ops).unwrap();
         assert_eq!(replies.len(), 32);
         let stats = server.stats();
         assert!(

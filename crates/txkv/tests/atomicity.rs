@@ -71,7 +71,7 @@ fn torn_state_hunt<R: TxRuntime>(server: &KvServer<R>, batch_tasks: usize) {
                             new: vec![current + 1],
                         })
                         .collect();
-                    let replies = session.batch(ops);
+                    let replies = session.batch(ops).unwrap();
                     let swapped: Vec<bool> = replies
                         .iter()
                         .map(|r| match r {
@@ -101,7 +101,7 @@ fn torn_state_hunt<R: TxRuntime>(server: &KvServer<R>, batch_tasks: usize) {
                 let mut session = server.session();
                 for _ in 0..rounds * 4 {
                     let ops: Vec<KvOp> = keys.iter().map(|&key| KvOp::Get { key }).collect();
-                    let replies = session.batch(ops);
+                    let replies = session.batch(ops).unwrap();
                     let values: Vec<u64> = replies
                         .iter()
                         .map(|reply| match reply {
@@ -184,7 +184,9 @@ fn write_skew_hunt<R: TxRuntime>() {
                 let mut rng = TestRng::new(0x7AB5 ^ t);
                 for _ in 0..200 {
                     // Snapshot both balances…
-                    let replies = session.batch(vec![KvOp::Get { key: a }, KvOp::Get { key: b }]);
+                    let replies = session
+                        .batch(vec![KvOp::Get { key: a }, KvOp::Get { key: b }])
+                        .unwrap();
                     let (va, vb) = match (&replies[0], &replies[1]) {
                         (KvReply::Value(Some(va)), KvReply::Value(Some(vb))) => (va[0], vb[0]),
                         other => panic!("{label}: unexpected replies {other:?}"),
@@ -193,18 +195,20 @@ fn write_skew_hunt<R: TxRuntime>() {
                     // …and move a random amount with a guarded batch: both
                     // cas-es must see the same snapshot or fail together.
                     let amount = rng.below(va + 1);
-                    let replies = session.batch(vec![
-                        KvOp::Cas {
-                            key: a,
-                            expected: vec![va],
-                            new: vec![va - amount],
-                        },
-                        KvOp::Cas {
-                            key: b,
-                            expected: vec![vb],
-                            new: vec![vb + amount],
-                        },
-                    ]);
+                    let replies = session
+                        .batch(vec![
+                            KvOp::Cas {
+                                key: a,
+                                expected: vec![va],
+                                new: vec![va - amount],
+                            },
+                            KvOp::Cas {
+                                key: b,
+                                expected: vec![vb],
+                                new: vec![vb + amount],
+                            },
+                        ])
+                        .unwrap();
                     let applied: Vec<bool> = replies
                         .iter()
                         .map(|r| matches!(r, KvReply::Swapped(true)))

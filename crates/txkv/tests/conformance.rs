@@ -70,7 +70,7 @@ fn run_stream_against_oracle<R: TxRuntime>(
     let mut rng = TestRng::new(seed);
     for batch_no in 0..batches {
         let ops = gen_batch(&mut rng, batch_len);
-        let got = session.batch(ops.clone());
+        let got = session.batch(ops.clone()).unwrap();
         let want = oracle.batch(&ops, tasks);
         assert_eq!(
             got, want,
@@ -143,7 +143,7 @@ fn replay_stream<R: TxRuntime>(tasks: usize, seed: u64, batches: usize) -> Strea
     let mut session = server.session();
     let mut rng = TestRng::new(seed);
     let replies = (0..batches)
-        .map(|_| session.batch(gen_batch(&mut rng, 10)))
+        .map(|_| session.batch(gen_batch(&mut rng, 10)).unwrap())
         .collect();
     drop(session);
     let dump = server.store().dump(&mut server.direct()).unwrap();
@@ -180,7 +180,7 @@ fn hammer_concurrently<R: TxRuntime>() {
                 let mut rng = TestRng::new(0x5EED ^ t);
                 for _ in 0..60 {
                     let ops = gen_batch(&mut rng, 8);
-                    session.batch(ops);
+                    session.batch(ops).unwrap();
                 }
             });
         }

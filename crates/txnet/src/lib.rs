@@ -27,8 +27,8 @@
 //! * [`server`] / [`client`] — the nonblocking poll-loop server whose
 //!   serving threads **coalesce** every request decoded in one poll
 //!   iteration (across all of the thread's connections) into a single
-//!   [`txkv::KvSession::batch_with_replies`] call — N clients share one STM
-//!   commit and, on the durable path, one group-commit fsync ticket — and
+//!   [`txkv::KvSession::batch`] call — N clients share one STM commit and,
+//!   on the durable path, one group-commit fsync ticket — and
 //!   the blocking pipelined client the open-loop load generator drives.
 
 #![warn(missing_docs)]

@@ -7,12 +7,14 @@
 //! 1. accept any pending connections (the kernel hands each one to exactly
 //!    one accepting thread);
 //! 2. drain every readable connection's bytes and decode complete request
-//!    frames;
+//!    frames (a half-closed connection is no longer read, but the frames it
+//!    sent before its EOF are still decoded and answered);
 //! 3. **coalesce** all requests decoded this iteration — across all of the
-//!    thread's connections — into one [`KvSession::batch_with_replies`]
-//!    call (durable path: one [`DurableKvSession::batch_with_replies`],
-//!    i.e. one commit sequence number, one redo record, one group-commit
-//!    ticket shared by every coalesced request);
+//!    thread's connections — into one [`KvSession::batch`] call and split
+//!    the replies back per request with [`split_replies`]. Served from a
+//!    [`DurableKvStore`], the session is linked to its write-ahead log, so
+//!    the coalesced batch carries one commit sequence number, one redo
+//!    record and one group-commit ticket;
 //! 4. fan the replies back out by request-id and flush writable connections.
 //!
 //! Step 3 is the point of the design: N clients' concurrent batches share a
@@ -26,7 +28,7 @@
 //! a typed error reply. A durability failure answers every coalesced request
 //! with an [`crate::proto::ERR_WAL`] error reply; connections stay open and
 //! later read-only batches keep serving (mirroring the degraded-mode
-//! contract of [`DurableKvSession::batch`]).
+//! contract of [`KvSession::batch`]).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -35,7 +37,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use txkv::{DurableKvSession, DurableKvStore, KvOp, KvReply, KvServer, KvSession, WalError};
+use txkv::{split_replies, DurableKvStore, KvOp, KvServer, KvSession};
 use txmem::TxRuntime;
 
 use crate::error::ProtocolError;
@@ -73,47 +75,6 @@ impl Default for NetServerConfig {
     }
 }
 
-/// What a serving thread executes its coalesced drains against: an
-/// in-memory session or a durable one. One per thread (sessions are
-/// per-thread handles).
-enum Backend<R: TxRuntime> {
-    Mem(KvSession<R>),
-    Durable(DurableKvSession<R>),
-}
-
-impl<R: TxRuntime> Backend<R> {
-    fn execute(&mut self, requests: Vec<Vec<KvOp>>) -> Result<Vec<Vec<KvReply>>, WalError> {
-        match self {
-            Backend::Mem(session) => Ok(session.batch_with_replies(requests)),
-            Backend::Durable(session) => session.batch_with_replies(requests),
-        }
-    }
-}
-
-/// The shared store behind all serving threads.
-enum Shared<R: TxRuntime> {
-    Mem(Arc<KvServer<R>>),
-    Durable(Arc<DurableKvStore<R>>),
-}
-
-impl<R: TxRuntime> Clone for Shared<R> {
-    fn clone(&self) -> Self {
-        match self {
-            Shared::Mem(s) => Shared::Mem(Arc::clone(s)),
-            Shared::Durable(s) => Shared::Durable(Arc::clone(s)),
-        }
-    }
-}
-
-impl<R: TxRuntime> Shared<R> {
-    fn backend(&self) -> Backend<R> {
-        match self {
-            Shared::Mem(server) => Backend::Mem(server.session()),
-            Shared::Durable(store) => Backend::Durable(store.session()),
-        }
-    }
-}
-
 /// A running network server: serving threads plus the bound address.
 /// Dropping the handle shuts the server down and joins the threads.
 #[derive(Debug)]
@@ -135,7 +96,7 @@ impl NetServer {
         addr: impl ToSocketAddrs,
         config: &NetServerConfig,
     ) -> io::Result<NetServer> {
-        Self::start(Shared::Mem(server), addr, config)
+        Self::start(move || server.session(), addr, config)
     }
 
     /// Serves the durable [`DurableKvStore`] on `addr`: every acknowledged
@@ -150,14 +111,17 @@ impl NetServer {
         addr: impl ToSocketAddrs,
         config: &NetServerConfig,
     ) -> io::Result<NetServer> {
-        Self::start(Shared::Durable(store), addr, config)
+        Self::start(move || store.session(), addr, config)
     }
 
+    /// Binds `addr` and spawns the serving threads; each opens its own
+    /// session from `sessions` (sessions are per-thread handles).
     fn start<R: TxRuntime>(
-        shared: Shared<R>,
+        sessions: impl Fn() -> KvSession<R> + Send + Sync + 'static,
         addr: impl ToSocketAddrs,
         config: &NetServerConfig,
     ) -> io::Result<NetServer> {
+        let sessions = Arc::new(sessions);
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -166,13 +130,13 @@ impl NetServer {
         let mut threads = Vec::with_capacity(n_threads);
         for worker in 0..n_threads {
             let listener = listener.try_clone()?;
-            let shared = shared.clone();
+            let sessions = Arc::clone(&sessions);
             let shutdown = Arc::clone(&shutdown);
             let config = config.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("txnet-serve-{worker}"))
-                    .spawn(move || serve_loop(listener, shared.backend(), &shutdown, &config))
+                    .spawn(move || serve_loop(listener, sessions(), &shutdown, &config))
                     .expect("spawning a serving thread failed"),
             );
         }
@@ -212,16 +176,17 @@ impl Drop for NetServer {
 /// One connection's state inside a serving thread.
 struct Conn {
     stream: TcpStream,
-    /// Bytes read but not yet decoded (at most one partial frame after a
-    /// decode pass).
+    /// Bytes read but not yet decoded: at most one partial frame after a
+    /// decode pass, unless the coalescing window filled first.
     read_buf: Vec<u8>,
     /// Encoded reply frames not yet accepted by the socket.
     write_buf: Vec<u8>,
     /// Prefix of `write_buf` already written.
     written: usize,
     /// `false` once the connection is condemned (EOF, I/O error, or a
-    /// frame-level protocol violation): queued replies are still flushed,
-    /// then the connection is dropped.
+    /// frame-level protocol violation): it is never read again, but its
+    /// buffered complete frames are still executed and every queued reply
+    /// is flushed before the connection is dropped.
     open: bool,
 }
 
@@ -279,7 +244,7 @@ impl Conn {
 /// The poll loop of one serving thread.
 fn serve_loop<R: TxRuntime>(
     listener: TcpListener,
-    mut backend: Backend<R>,
+    mut session: KvSession<R>,
     shutdown: &AtomicBool,
     config: &NetServerConfig,
 ) {
@@ -328,19 +293,18 @@ fn serve_loop<R: TxRuntime>(
         for step in 0..n_conns {
             let index = (scan_start + step) % n_conns;
             let conn = &mut conns[index];
-            if !conn.open {
-                continue;
-            }
             // The coalescing window is full: leave this connection's bytes
             // in the kernel buffer (backpressure) for a later iteration.
             if requests.len() >= max_coalesced {
                 continue;
             }
-            loop {
+            // A condemned connection is not read again, but the complete
+            // frames it already buffered are still decoded (over as many
+            // iterations as the window needs), executed and answered.
+            while conn.open {
                 match conn.stream.read(&mut scratch) {
                     Ok(0) => {
-                        // EOF: whatever complete frames are already buffered
-                        // still get decoded, executed and answered below.
+                        // EOF: a half-closed peer still reads its replies.
                         conn.open = false;
                         break;
                     }
@@ -390,7 +354,14 @@ fn serve_loop<R: TxRuntime>(
                             }
                         }
                     }
-                    Ok(FrameDecode::Incomplete) => break,
+                    Ok(FrameDecode::Incomplete) => {
+                        if !conn.open {
+                            // A partial frame that can never complete.
+                            conn.read_buf.clear();
+                            offset = 0;
+                        }
+                        break;
+                    }
                     Err(error) => {
                         // Frame-level: the stream is desynced; close after
                         // flushing whatever replies are already queued.
@@ -415,9 +386,10 @@ fn serve_loop<R: TxRuntime>(
             txobs::trace::trace(txobs::EventKind::NetBatch, requests.len() as u64);
             net.coalesced_batches.inc();
             net.coalesced_requests.add(requests.len() as u64);
-            match backend.execute(std::mem::take(&mut requests)) {
+            let lens: Vec<usize> = requests.iter().map(Vec::len).collect();
+            match session.batch(requests.drain(..).flatten().collect()) {
                 Ok(replies) => {
-                    debug_assert_eq!(replies.len(), routes.len());
+                    let replies = split_replies(&lens, replies);
                     for (&(index, req_id), reply) in routes.iter().zip(&replies) {
                         conns[index].queue_reply(req_id, &proto::encode_ok_reply(reply));
                     }
@@ -439,7 +411,7 @@ fn serve_loop<R: TxRuntime>(
         for conn in &mut conns {
             conn.flush();
         }
-        conns.retain(|conn| conn.open || !conn.flushed());
+        conns.retain(|conn| conn.open || !conn.read_buf.is_empty() || !conn.flushed());
         net.connections.sub((before - conns.len()) as u64);
 
         if !busy {

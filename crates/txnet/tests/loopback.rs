@@ -1,17 +1,21 @@
 //! Loopback conformance: the network front-end against the `RefStore`
 //! oracle, on every runtime.
 //!
-//! Three contracts (ISSUE 10, satellite):
+//! Three contracts:
 //!
 //! * concurrent clients' interleaved batches observe exactly the semantics
-//!   of applying each batch atomically — every reply matches the oracle;
+//!   of applying each batch atomically — every reply matches the oracle, on
+//!   the in-memory and the durable serving path, and a rebooted durable
+//!   store recovers exactly the served state;
 //! * pipelined requests genuinely coalesce: N requests share fewer than N
-//!   STM commits;
+//!   STM commits, and a client that half-closes its side still gets every
+//!   pipelined reply;
 //! * the durable path survives an injected WAL crash point with dense LSNs —
 //!   every acknowledged write is recovered, degraded reads keep serving
 //!   over the wire, and a recovered store serves the network again.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
+use std::net::Shutdown;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -84,11 +88,17 @@ fn gen_batch(rng: &mut TestRng, base: u64, ops: usize) -> Vec<KvOp> {
     batch
 }
 
-fn conformance_on<R: TxRuntime>() {
-    let label = R::LABEL;
-    let server = Arc::new(KvServer::<R>::new(&kv_config()));
-    let net = NetServer::serve(Arc::clone(&server), ("127.0.0.1", 0), &net_config(2))
-        .unwrap_or_else(|e| panic!("{label}: bind failed: {e}"));
+fn durable_config() -> DurableKvConfig {
+    DurableKvConfig {
+        server: kv_config(),
+        crash_points: CrashPoints::disabled(),
+        ..DurableKvConfig::default()
+    }
+}
+
+/// Runs the concurrent clients against `net` and checks every reply against
+/// a per-client oracle; returns the merged oracle of the final state.
+fn drive_conformance(label: &str, net: NetServer) -> RefStore {
     let addr = net.addr();
 
     // Concurrent clients on disjoint key ranges; each records its submitted
@@ -129,11 +139,16 @@ fn conformance_on<R: TxRuntime>() {
             merged.batch(ops, GROUPS);
         }
     }
+    merged
+}
+
+/// Asserts that `server`'s store holds exactly the oracle's final state.
+fn assert_state<R: TxRuntime>(label: &str, server: &KvServer<R>, oracle: &RefStore) {
     let mut got = server
         .store()
         .dump(&mut server.direct())
         .expect("direct dump cannot abort");
-    let mut want = merged.dump();
+    let mut want = oracle.dump();
     got.sort_unstable();
     want.sort_unstable();
     assert_eq!(
@@ -142,12 +157,86 @@ fn conformance_on<R: TxRuntime>() {
     );
 }
 
+/// Conformance of both serving paths on runtime `R`: the in-memory server
+/// under [`NetServer::serve`], then a durable store under
+/// [`NetServer::serve_durable`], whose log must also replay the served
+/// state after a reboot.
+fn conformance_on<R: TxRuntime>() {
+    let label = R::LABEL;
+    let server = Arc::new(KvServer::<R>::new(&kv_config()));
+    let net = NetServer::serve(Arc::clone(&server), ("127.0.0.1", 0), &net_config(2))
+        .unwrap_or_else(|e| panic!("{label}: bind failed: {e}"));
+    let oracle = drive_conformance(label, net);
+    assert_state(label, &server, &oracle);
+
+    let label = format!("{label}/durable");
+    let dir = TempDir::new("txnet-conformance");
+    let store =
+        Arc::new(DurableKvStore::<R>::boot(dir.path(), &durable_config()).expect("boot failed"));
+    let net = NetServer::serve_durable(Arc::clone(&store), ("127.0.0.1", 0), &net_config(2))
+        .unwrap_or_else(|e| panic!("{label}: bind failed: {e}"));
+    let oracle = drive_conformance(&label, net);
+    assert_state(&label, store.server(), &oracle);
+    drop(store);
+    let rebooted = DurableKvStore::<R>::boot(dir.path(), &durable_config()).expect("reboot failed");
+    assert_state(&format!("{label} after reboot"), rebooted.server(), &oracle);
+}
+
 #[test]
 fn concurrent_clients_match_the_oracle_on_every_runtime() {
     with_default_watchdog(|| {
         conformance_on::<SwisstmRuntime>();
         conformance_on::<TlstmRuntime>();
         conformance_on::<SeqRefRuntime>();
+    });
+}
+
+#[test]
+fn a_half_closed_client_gets_every_pipelined_reply() {
+    with_default_watchdog(|| {
+        const PIPELINED: u64 = 200;
+        // At window 1 every frame past the first waits in the connection's
+        // read buffer when the EOF arrives; at the default window of 64 the
+        // requests past the first round do.
+        for window in [1, 64] {
+            let server = Arc::new(KvServer::<SeqRefRuntime>::new(&kv_config()));
+            let config = NetServerConfig {
+                max_coalesced_requests: window,
+                ..net_config(1)
+            };
+            let net =
+                NetServer::serve(Arc::clone(&server), ("127.0.0.1", 0), &config).expect("bind");
+            let mut client = NetClient::connect(net.addr()).expect("connect failed");
+            client.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+            for key in 1..=PIPELINED {
+                client.send(&[KvOp::Get { key }]).expect("pipelined send");
+            }
+            client
+                .stream()
+                .shutdown(Shutdown::Write)
+                .expect("half-close");
+            let mut answered = 0u64;
+            let end = loop {
+                match client.recv() {
+                    Ok((req_id, result)) => {
+                        answered += 1;
+                        assert_eq!(req_id, answered, "window {window}: replies out of order");
+                        assert_eq!(result.expect("get reply"), vec![KvReply::Value(None)]);
+                    }
+                    Err(end) => break end,
+                }
+            };
+            assert_eq!(
+                answered, PIPELINED,
+                "window {window}: a half-closed client got {answered} of {PIPELINED} replies \
+                 (then {end:?})"
+            );
+            assert!(
+                matches!(&end, NetError::Io(e) if e.kind() == ErrorKind::UnexpectedEof),
+                "window {window}: the server must close the drained connection, got {end:?}"
+            );
+            net.shutdown();
+        }
     });
 }
 
@@ -197,10 +286,9 @@ fn durable_loopback_survives_a_crash_point_with_dense_lsns() {
         let dir = TempDir::new("txnet-crash");
         let crash = CrashPoints::disabled();
         let config = DurableKvConfig {
-            server: kv_config(),
             fsync: FsyncPolicy::Always,
             crash_points: crash.clone(),
-            ..DurableKvConfig::default()
+            ..durable_config()
         };
         let store = Arc::new(
             DurableKvStore::<SwisstmRuntime>::boot(dir.path(), &config).expect("boot failed"),
@@ -262,16 +350,12 @@ fn durable_loopback_survives_a_crash_point_with_dense_lsns() {
 
         // Recovery: the torn tail is discarded, LSNs are dense — exactly
         // the acknowledged batches are replayed, nothing skipped.
-        let recovered = DurableKvStore::<SwisstmRuntime>::boot(
-            dir.path(),
-            &DurableKvConfig {
-                server: kv_config(),
-                fsync: FsyncPolicy::Always,
-                crash_points: CrashPoints::disabled(),
-                ..DurableKvConfig::default()
-            },
-        )
-        .expect("recovery failed");
+        let config = DurableKvConfig {
+            fsync: FsyncPolicy::Always,
+            ..durable_config()
+        };
+        let recovered =
+            DurableKvStore::<SwisstmRuntime>::boot(dir.path(), &config).expect("recovery failed");
         let report = recovered.recovery().clone();
         assert_eq!(
             report.next_lsn, acked,

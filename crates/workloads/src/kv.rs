@@ -25,7 +25,9 @@
 use std::sync::atomic::Ordering;
 
 use tlstm_testutil::TempDir;
-use txkv::{DurableKvConfig, DurableKvStore, KvOp, KvServer, KvServerConfig, KvStoreParams};
+use txkv::{
+    DurableKvConfig, DurableKvStore, KvOp, KvServer, KvServerConfig, KvSession, KvStoreParams,
+};
 use txmem::{TxConfig, TxRuntime};
 
 use crate::harness::{average_metrics, run_threads_metrics, DetRng, RunMetrics, WorkloadConfig};
@@ -295,49 +297,17 @@ pub fn generate_batch(rng: &mut DetRng, dist: &KeyDist, params: &KvParams) -> Ve
         .collect()
 }
 
-fn populate<R: TxRuntime>(server: &KvServer<R>, params: &KvParams) {
+pub(crate) fn populate<R: TxRuntime>(server: &KvServer<R>, params: &KvParams) {
     server.populate((0..params.records).map(|k| (k, initial_value(k, params.value_words))));
 }
 
-fn measure_server<R: TxRuntime>(
-    server: KvServer<R>,
+/// Boots a [`DurableKvStore`] in a scratch log directory, populates it and
+/// snapshots the populated base, so a run starts from a realistic durable
+/// state. The directory is removed when the returned [`TempDir`] drops.
+pub(crate) fn boot_durable<R: TxRuntime>(
     params: &KvParams,
-    config: &WorkloadConfig,
-    rep: u32,
-) -> RunMetrics {
-    populate(&server, params);
-    let dist = KeyDist::new(params);
-    let (throughput, latency) = run_threads_metrics(
-        params.threads.max(1),
-        config.duration,
-        |client, stop, ops, hist| {
-            let mut session = server.session();
-            let dist = dist.clone();
-            let mut rng = DetRng::new(config.seed ^ (client as u64 + 1) ^ (u64::from(rep) << 32));
-            while !stop.load(Ordering::Relaxed) {
-                let batch = generate_batch(&mut rng, &dist, params);
-                let n = batch.len() as u64;
-                let t0 = std::time::Instant::now();
-                session.batch(batch);
-                hist.record(t0.elapsed());
-                ops.fetch_add(n, Ordering::Relaxed);
-            }
-        },
-    );
-    RunMetrics::new(throughput, latency, server.stats())
-}
-
-/// Measures the workload through a [`DurableKvStore`] in a scratch log
-/// directory: the populated base is snapshotted (so the run starts from a
-/// realistic durable state), then every client batch is write-ahead logged
-/// and waits for its durability acknowledgement. The scratch directory is
-/// removed when the run ends.
-fn measure_durable<R: TxRuntime>(
-    params: &KvParams,
-    config: &WorkloadConfig,
-    rep: u32,
     fsync: FsyncPolicy,
-) -> RunMetrics {
+) -> (TempDir, DurableKvStore<R>) {
     let dir = TempDir::new("tmbench-kv-durable");
     let store = DurableKvStore::<R>::boot(
         dir.path(),
@@ -349,19 +319,33 @@ fn measure_durable<R: TxRuntime>(
         },
     )
     .expect("failed to boot the durable KV store");
-    store.populate((0..params.records).map(|k| (k, initial_value(k, params.value_words))));
+    populate(store.server(), params);
     store.snapshot().expect("baseline snapshot failed");
+    (dir, store)
+}
+
+/// Measures one repetition: client threads drive sessions opened by
+/// `session` against `server`'s store. The STM statistics (and, for a
+/// durable run, the WAL metrics) are windowed to the measured phase, so
+/// population and the baseline snapshot stay out of the row.
+fn measure_sessions<R: TxRuntime>(
+    server: &KvServer<R>,
+    session: impl Fn() -> KvSession<R> + Sync,
+    params: &KvParams,
+    config: &WorkloadConfig,
+    rep: u32,
+) -> RunMetrics {
     let dist = KeyDist::new(params);
-    // Attribute only the measured phase's WAL activity (not population or
-    // the baseline snapshot) to this run. The WAL metrics are process-wide,
-    // so the delta is exact only while no other durable store is active —
-    // which holds for tmbench's sequential scenario matrix.
+    let stats_before = server.stats();
+    // The WAL metrics are process-wide, so the delta is exact only while no
+    // other durable store is active — which holds for tmbench's sequential
+    // scenario matrix.
     let wal_before = txobs::metrics::wal().snapshot();
     let (throughput, latency) = run_threads_metrics(
         params.threads.max(1),
         config.duration,
         |client, stop, ops, hist| {
-            let mut session = store.session();
+            let mut session = session();
             let dist = dist.clone();
             let mut rng = DetRng::new(config.seed ^ (client as u64 + 1) ^ (u64::from(rep) << 32));
             while !stop.load(Ordering::Relaxed) {
@@ -376,8 +360,15 @@ fn measure_durable<R: TxRuntime>(
             }
         },
     );
-    let wal_delta = txobs::metrics::wal().snapshot().delta_since(&wal_before);
-    RunMetrics::new(throughput, latency, store.server().stats()).with_wal(wal_delta)
+    let metrics = RunMetrics::new(
+        throughput,
+        latency,
+        server.stats().delta_since(&stats_before),
+    );
+    match params.durable {
+        Some(_) => metrics.with_wal(txobs::metrics::wal().snapshot().delta_since(&wal_before)),
+        None => metrics,
+    }
 }
 
 /// Measures the KV workload on any [`TxRuntime`] (durably, through the
@@ -386,13 +377,15 @@ fn measure_durable<R: TxRuntime>(
 /// sequential runtimes execute the identical batch plan in order.
 pub fn measure<R: TxRuntime>(params: &KvParams, config: &WorkloadConfig) -> RunMetrics {
     average_metrics(config.repetitions, |rep| match params.durable {
-        Some(durability) => measure_durable::<R>(params, config, rep, durability.fsync),
-        None => measure_server(
-            KvServer::<R>::new(&params.server_config()),
-            params,
-            config,
-            rep,
-        ),
+        Some(durability) => {
+            let (_dir, store) = boot_durable::<R>(params, durability.fsync);
+            measure_sessions(store.server(), || store.session(), params, config, rep)
+        }
+        None => {
+            let server = KvServer::<R>::new(&params.server_config());
+            populate(&server, params);
+            measure_sessions(&server, || server.session(), params, config, rep)
+        }
     })
 }
 
@@ -559,6 +552,35 @@ mod tests {
     }
 
     #[test]
+    fn durable_stats_cover_only_the_measured_window() {
+        // The baseline snapshot reads every word of the store in one
+        // transaction — about 70 reads per 64-word record. Counted into a
+        // short window, it would report more reads per commit than there
+        // are records; the measured batches read a few hundred words each.
+        let params = KvParams {
+            records: 4096,
+            value_words: 64,
+            durable: Some(KvDurability {
+                fsync: FsyncPolicy::None,
+            }),
+            ..KvParams::tiny(KvMix::A)
+        };
+        let config = WorkloadConfig {
+            duration: std::time::Duration::from_millis(5),
+            ..WorkloadConfig::quick()
+        };
+        let m = measure::<SwisstmRuntime>(&params, &config);
+        let commits = m.stats.tx_commits;
+        assert!(commits > 0, "the window committed nothing");
+        assert!(
+            m.stats.reads < params.records * commits,
+            "{} reads for {commits} commits: setup leaked into the window",
+            m.stats.reads
+        );
+        assert!(m.wal.expect("durable runs carry the WAL delta").enqueued > 0);
+    }
+
+    #[test]
     fn read_only_mix_never_writes() {
         let config = WorkloadConfig::quick();
         let params = KvParams::tiny(KvMix::C);
@@ -579,7 +601,9 @@ mod tests {
             let mut session = server.session();
             let mut rng = DetRng::new(seed);
             for _ in 0..30 {
-                session.batch(generate_batch(&mut rng, &dist, &params));
+                session
+                    .batch(generate_batch(&mut rng, &dist, &params))
+                    .unwrap();
             }
             server.store().dump(&mut server.direct()).unwrap()
         };

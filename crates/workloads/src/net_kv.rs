@@ -27,15 +27,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tlstm_testutil::TempDir;
-use txkv::{DurableKvConfig, DurableKvStore, KvServer};
+use txkv::KvServer;
 use txmem::TxRuntime;
 use txnet::{NetClient, NetError, NetServer, NetServerConfig};
 
 use crate::harness::{
     average_metrics, run_threads_metrics, DetRng, LatencyHistogram, RunMetrics, WorkloadConfig,
 };
-use crate::kv::{generate_batch, initial_value, KeyDist, KvParams};
+use crate::kv::{boot_durable, generate_batch, populate, KeyDist, KvParams};
 
 /// How long a drained connection waits for a not-yet-ready reply before the
 /// generator moves on to its other connections (the client-side poll
@@ -52,7 +51,7 @@ const TAIL_DRAIN_BUDGET: Duration = Duration::from_secs(2);
 pub struct NetKvParams {
     /// The store-side parameters: mix, key space, batch size, shards, and
     /// (via [`KvParams::durable`]) whether the server front-ends a
-    /// [`DurableKvStore`]. [`KvParams::threads`] is ignored — the network
+    /// [`txkv::DurableKvStore`]. [`KvParams::threads`] is ignored — the network
     /// workload's concurrency axis is `connections`.
     pub kv: KvParams,
     /// Client connections to open (the offered-concurrency axis; pinned
@@ -255,79 +254,53 @@ fn drive_connections(
 /// metrics carry the txobs network-front-end delta of the measured window
 /// (and the WAL delta for durable runs).
 pub fn measure<R: TxRuntime>(params: &NetKvParams, config: &WorkloadConfig) -> RunMetrics {
+    let net_config = NetServerConfig {
+        threads: params.server_threads.max(1),
+        ..NetServerConfig::default()
+    };
     average_metrics(config.repetitions, |rep| match params.kv.durable {
-        Some(durability) => measure_durable::<R>(params, config, rep, durability.fsync),
-        None => measure_mem::<R>(params, config, rep),
+        Some(durability) => {
+            let (_dir, store) = boot_durable::<R>(&params.kv, durability.fsync);
+            let store = Arc::new(store);
+            let net = NetServer::serve_durable(Arc::clone(&store), ("127.0.0.1", 0), &net_config)
+                .expect("binding the loopback bench server failed");
+            measure_served(store.server(), net, params, config, rep)
+        }
+        None => {
+            let server = Arc::new(KvServer::<R>::new(&params.kv.server_config()));
+            populate(&server, &params.kv);
+            let net = NetServer::serve(Arc::clone(&server), ("127.0.0.1", 0), &net_config)
+                .expect("binding the loopback bench server failed");
+            measure_served(&server, net, params, config, rep)
+        }
     })
 }
 
-fn net_server_config(params: &NetKvParams) -> NetServerConfig {
-    NetServerConfig {
-        threads: params.server_threads.max(1),
-        ..NetServerConfig::default()
-    }
-}
-
-fn measure_mem<R: TxRuntime>(
+/// Measures one repetition against `net`, which serves `server`'s store.
+/// The STM, network (and, for a durable run, WAL) counters are windowed to
+/// the measured phase; the txobs deltas are process-wide, so they are exact
+/// while tmbench's scenario matrix runs sequentially.
+fn measure_served<R: TxRuntime>(
+    server: &KvServer<R>,
+    net: NetServer,
     params: &NetKvParams,
     config: &WorkloadConfig,
     rep: u32,
 ) -> RunMetrics {
-    let server = Arc::new(KvServer::<R>::new(&params.kv.server_config()));
-    server.populate((0..params.kv.records).map(|k| (k, initial_value(k, params.kv.value_words))));
-    let net = NetServer::serve(
-        Arc::clone(&server),
-        ("127.0.0.1", 0),
-        &net_server_config(params),
-    )
-    .expect("binding the loopback bench server failed");
     let dist = KeyDist::new(&params.kv);
-    let net_before = txobs::metrics::net().snapshot();
-    let (throughput, latency) = drive_connections(params, net.addr(), config, rep, &dist);
-    let net_delta = txobs::metrics::net().snapshot().delta_since(&net_before);
-    net.shutdown();
-    RunMetrics::new(throughput, latency, server.stats()).with_net(net_delta)
-}
-
-fn measure_durable<R: TxRuntime>(
-    params: &NetKvParams,
-    config: &WorkloadConfig,
-    rep: u32,
-    fsync: crate::kv::FsyncPolicy,
-) -> RunMetrics {
-    let dir = TempDir::new("tmbench-net-kv");
-    let store = Arc::new(
-        DurableKvStore::<R>::boot(
-            dir.path(),
-            &DurableKvConfig {
-                server: params.kv.server_config(),
-                fsync,
-                crash_points: txkv::CrashPoints::disabled(),
-                ..DurableKvConfig::default()
-            },
-        )
-        .expect("failed to boot the durable KV store"),
-    );
-    store.populate((0..params.kv.records).map(|k| (k, initial_value(k, params.kv.value_words))));
-    store.snapshot().expect("baseline snapshot failed");
-    let net = NetServer::serve_durable(
-        Arc::clone(&store),
-        ("127.0.0.1", 0),
-        &net_server_config(params),
-    )
-    .expect("binding the loopback bench server failed");
-    let dist = KeyDist::new(&params.kv);
-    // Like `kv::measure_durable`: the txobs deltas are process-wide, exact
-    // while tmbench's scenario matrix runs sequentially.
+    let stats_before = server.stats();
     let wal_before = txobs::metrics::wal().snapshot();
     let net_before = txobs::metrics::net().snapshot();
     let (throughput, latency) = drive_connections(params, net.addr(), config, rep, &dist);
+    let stats = server.stats().delta_since(&stats_before);
     let wal_delta = txobs::metrics::wal().snapshot().delta_since(&wal_before);
     let net_delta = txobs::metrics::net().snapshot().delta_since(&net_before);
     net.shutdown();
-    RunMetrics::new(throughput, latency, store.server().stats())
-        .with_wal(wal_delta)
-        .with_net(net_delta)
+    let metrics = RunMetrics::new(throughput, latency, stats).with_net(net_delta);
+    match params.kv.durable {
+        Some(_) => metrics.with_wal(wal_delta),
+        None => metrics,
+    }
 }
 
 #[cfg(test)]
