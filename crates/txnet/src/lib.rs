@@ -24,9 +24,9 @@
 //!   one-to-one; decoders never panic on arbitrary bytes and classify every
 //!   violation as frame-level (close) or payload-level (typed error reply on
 //!   the live connection) via [`ProtocolError::is_frame_level`].
-//! * [`server`] / [`client`] — the nonblocking poll-loop server whose
-//!   serving threads **coalesce** every request decoded in one poll
-//!   iteration (across all of the thread's connections) into a single
+//! * [`server`] / [`client`] — the nonblocking readiness-loop server whose
+//!   serving threads **coalesce** every request decoded in one round
+//!   (across all of the thread's connections) into a single
 //!   [`txkv::KvSession::batch`] call — N clients share one STM commit and,
 //!   on the durable path, one group-commit fsync ticket — and
 //!   the blocking pipelined client the open-loop load generator drives.

@@ -8,8 +8,11 @@
 //!   the in-memory and the durable serving path, and a rebooted durable
 //!   store recovers exactly the served state;
 //! * pipelined requests genuinely coalesce: N requests share fewer than N
-//!   STM commits, and a client that half-closes its side still gets every
-//!   pipelined reply;
+//!   STM commits, a client that half-closes its side still gets every
+//!   pipelined reply, and frames that wait in a connection's buffer are
+//!   served without waiting for the socket to become readable again;
+//! * a peer that pipelines requests and never reads its replies holds a
+//!   bounded number of server bytes while other clients keep being served;
 //! * the durable path survives an injected WAL crash point with dense LSNs —
 //!   every acknowledged write is recovered, degraded reads keep serving
 //!   over the wire, and a recovered store serves the network again.
@@ -17,7 +20,7 @@
 use std::io::{ErrorKind, Write};
 use std::net::Shutdown;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use swisstm::SwisstmRuntime;
 use tlstm::TlstmRuntime;
@@ -237,6 +240,115 @@ fn a_half_closed_client_gets_every_pipelined_reply() {
             );
             net.shutdown();
         }
+    });
+}
+
+#[test]
+fn frames_waiting_in_the_read_buffer_are_served_without_a_wake_up() {
+    with_default_watchdog(|| {
+        // One write, so the frames arrive together and then the socket goes
+        // quiet. At window 1 each round serves one frame; the rest wait in
+        // the connection's read buffer, where no readiness event announces
+        // them. A loop that blocked there would pay its idle timeout per
+        // frame, seconds in all.
+        const PIPELINED: u64 = 1_000;
+        const BUDGET: Duration = Duration::from_secs(2);
+        let server = Arc::new(KvServer::<SeqRefRuntime>::new(&kv_config()));
+        let config = NetServerConfig {
+            max_coalesced_requests: 1,
+            ..net_config(1)
+        };
+        let net = NetServer::serve(Arc::clone(&server), ("127.0.0.1", 0), &config).expect("bind");
+        let mut client = NetClient::connect(net.addr()).expect("connect failed");
+        client.set_read_timeout(Some(BUDGET)).unwrap();
+        let mut wire = Vec::new();
+        for id in 1..=PIPELINED {
+            wire.extend_from_slice(&encode_frame(id, &encode_request(&[KvOp::Get { key: id }])));
+        }
+        let start = Instant::now();
+        client.stream().write_all(&wire).expect("pipelined write");
+        for id in 1..=PIPELINED {
+            let (got_id, result) = client.recv().expect("pipelined recv");
+            assert_eq!(got_id, id, "replies must come back in execution order");
+            assert_eq!(result.expect("get reply"), vec![KvReply::Value(None)]);
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < BUDGET,
+            "{PIPELINED} buffered frames took {elapsed:?} to serve"
+        );
+        net.shutdown();
+    });
+}
+
+#[test]
+fn a_peer_that_never_reads_stays_bounded_while_others_are_served() {
+    with_default_watchdog(|| {
+        // ~1 KiB replies: the hostile peer asks for ~40 MiB it never reads.
+        const PIPELINED: u64 = 40_000;
+        const HOSTILE_KEY: u64 = 0;
+        const VALUE_WORDS: usize = 128;
+        // The server stops serving a connection at 1 MiB of unread replies;
+        // it may overshoot by one round's replies and hold one read chunk.
+        const HELD_BACK: u64 = 1 << 20;
+        const BOUND: u64 = 4 << 20;
+        // Enough rounds for the server to work through every hostile
+        // request, were it not holding the connection back.
+        const BATCHES_WHILE_HELD_BACK: usize = 1_000;
+        let buffered = &txobs::metrics::net().buffered_bytes;
+        let server = Arc::new(KvServer::<SeqRefRuntime>::new(&kv_config()));
+        let net = NetServer::serve(Arc::clone(&server), ("127.0.0.1", 0), &net_config(1))
+            .expect("bind failed");
+
+        let mut hostile = NetClient::connect(net.addr()).expect("connect failed");
+        hostile.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        hostile
+            .put(HOSTILE_KEY, vec![7; VALUE_WORDS])
+            .expect("preload");
+        let mut wire = Vec::new();
+        for id in 1..=PIPELINED {
+            wire.extend_from_slice(&encode_frame(
+                id,
+                &encode_request(&[KvOp::Get { key: HOSTILE_KEY }]),
+            ));
+        }
+        // The write may block for good once the server stops reading; the
+        // final shutdown below ends it.
+        let mut hostile_stream = hostile.stream().try_clone().expect("clone");
+        let writer = std::thread::spawn(move || {
+            let _ = hostile_stream.write_all(&wire);
+        });
+
+        // A well-behaved client on a disjoint key range keeps getting the
+        // oracle's replies while the hostile peer floods.
+        let mut client = NetClient::connect(net.addr()).expect("connect failed");
+        client.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        let mut rng = TestRng::new(0x5EED);
+        let mut oracle = RefStore::new(SHARDS);
+        let mut peak = 0u64;
+        let mut batches_while_held_back = 0;
+        while batches_while_held_back < BATCHES_WHILE_HELD_BACK {
+            let ops = gen_batch(&mut rng, 1_000, 8);
+            let want = oracle.batch(&ops, GROUPS);
+            let got = client.batch(&ops).expect("batch beside a hostile peer");
+            assert_eq!(
+                got, want,
+                "a hostile peer corrupted another client's replies"
+            );
+            let now = buffered.get();
+            peak = peak.max(now);
+            if now >= HELD_BACK || writer.is_finished() {
+                batches_while_held_back += 1;
+            }
+        }
+        assert!(
+            peak < BOUND,
+            "the server buffered {peak} bytes for a peer that never reads"
+        );
+
+        hostile.stream().shutdown(Shutdown::Both).expect("shutdown");
+        writer.join().expect("hostile writer panicked");
+        net.shutdown();
     });
 }
 

@@ -307,11 +307,14 @@ pub struct NetMetrics {
     pub protocol_errors: Counter,
     /// Currently connected clients.
     pub connections: Gauge,
+    /// Bytes the serving threads hold for their connections: request bytes
+    /// read but not yet decoded plus reply bytes not yet written.
+    pub buffered_bytes: Gauge,
 }
 
 /// Point-in-time copy of the [`NetMetrics`] counters, subtractable across a
-/// benchmark run (the `connections` gauge is instantaneous and therefore not
-/// part of the snapshot).
+/// benchmark run (the `connections` and `buffered_bytes` gauges are
+/// instantaneous and therefore not part of the snapshot).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetSnapshot {
     /// See [`NetMetrics::requests`].
@@ -415,6 +418,7 @@ static NET: NetMetrics = NetMetrics {
     coalesced_requests: Counter::new(),
     protocol_errors: Counter::new(),
     connections: Gauge::new(),
+    buffered_bytes: Gauge::new(),
 };
 
 /// The process-wide WAL writer metrics.
@@ -532,6 +536,7 @@ pub fn metrics_text() -> String {
         ("txobs_wal_watermark_lag", &wal.watermark_lag),
         ("txobs_kv_health", &kv().health),
         ("txobs_net_connections", &net().connections),
+        ("txobs_net_buffered_bytes", &net().buffered_bytes),
     ] {
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {}", gauge.get());
